@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from . import (corrterm, discgroup, exactmat, lattice as lattice_mod, oracle,
                topo)
-from .overlattice import int_gram, overlattice as build_overlattice
 from .errors import LatcorrError, OracleDisagreement, SearchTooLarge
 
 VERDICT_EXIT = {"unobstructed": 0, "obstructed": 2, "inconclusive": 3}
@@ -91,10 +90,7 @@ def _check_embed_oracle(lat, embeds, notes):
 
 
 def _check_char_min_oracle(obj, minimum, notes):
-    if isinstance(obj, lattice_mod.Lattice):
-        gram = obj.gram_rows()
-    else:
-        gram = int_gram(obj)
+    gram = [[int(x) for x in row] for row in obj.gram]  # unimodular by now
     ginv = exactmat.inverse(gram)
     w0 = [gram[i][i] % 2 for i in range(len(gram))]
     bound = sum(w0[i] * ginv[i][j] * w0[j]
@@ -121,24 +117,6 @@ def _check_metabolizer_oracle(grp, mets, notes):
     notes.append("oracle: metabolizers agree")
 
 
-def _dset_payload(lat, args, notes):
-    mets = discgroup.metabolizers(lat, cap=args.max_group)
-    if args.oracle:
-        _check_metabolizer_oracle(discgroup.disc_group(lat), mets, notes)
-    entries = []
-    for m in mets:
-        u = build_overlattice(lat, m)
-        res = corrterm.min_char_square(u)
-        d = Fraction(res.minimum - lat.rank, 4)
-        if args.oracle:
-            _check_char_min_oracle(u, res.minimum, notes)
-        entries.append({"metabolizer": [list(e) for e in m.elements],
-                        "min_char_square": res.minimum,
-                        "witness": [_frac(x) for x in res.witness],
-                        "d": _frac(d)})
-    return entries
-
-
 def _run_lattice(args):
     lat = lattice_mod.load_lattice(args.file)
     notes = []
@@ -153,19 +131,28 @@ def _run_lattice(args):
             "pairing": _pairing_json(grp.pairing),
         }
     if args.command == "metabolizers":
-        mets = discgroup.metabolizers(lat, cap=args.max_group)
+        grp = discgroup.disc_group(lat)
+        mets = discgroup.metabolizers_of_group(grp, cap=args.max_group)
         if args.oracle:
-            _check_metabolizer_oracle(discgroup.disc_group(lat), mets, notes)
+            _check_metabolizer_oracle(grp, mets, notes)
         return 0, {"metabolizers": [_subgroup_json(m) for m in mets],
                    "notes": notes}
-    if args.command == "dset":
-        entries = _dset_payload(lat, args, notes)
-        return 0, {"entries": entries,
-                   "contains_zero": any(e["d"] == "0" for e in entries),
-                   "notes": notes}
-    if args.command == "embed-check":
-        entries = _dset_payload(lat, args, notes)
-        embeds = any(e["d"] == "0" for e in entries)
+    if args.command in ("dset", "embed-check"):
+        grp = discgroup.disc_group(lat)
+        ds = corrterm.d_set(grp, cap=args.max_group)
+        if args.oracle:
+            _check_metabolizer_oracle(grp, [e.metabolizer for e in ds.entries],
+                                      notes)
+            for e in ds.entries:
+                _check_char_min_oracle(e.overlattice, e.result.minimum, notes)
+        entries = [{"metabolizer": [list(x) for x in e.metabolizer.elements],
+                    "min_char_square": e.result.minimum,
+                    "witness": [_frac(x) for x in e.result.witness],
+                    "d": _frac(e.result.d)} for e in ds.entries]
+        if args.command == "dset":
+            return 0, {"entries": entries, "contains_zero": ds.contains_zero,
+                       "notes": notes}
+        embeds = ds.contains_zero
         if args.oracle:
             _check_embed_oracle(lat, embeds, notes)
         payload = {"embeds": embeds,
@@ -178,8 +165,7 @@ def _run_lattice(args):
         res = corrterm.min_char_square(lat)
         if args.oracle:
             _check_char_min_oracle(lat, res.minimum, notes)
-        d = Fraction(res.minimum - lat.rank, 4)
-        return 0, {"d": _frac(d), "min_char_square": res.minimum,
+        return 0, {"d": _frac(res.d), "min_char_square": res.minimum,
                    "witness": [_frac(x) for x in res.witness], "notes": notes}
     raise LatcorrError(f"unknown lattice command {args.command}")
 
@@ -231,7 +217,7 @@ def _run_topo(args):
     if args.command == "chain":
         table = topo.load_dtable(args.dtable)
         report = topo.chain_check(_load_gram(args.filling), table,
-                                  cap=args.max_group, threads=args.threads)
+                                  cap=args.max_group)
         return VERDICT_EXIT[report.verdict], _report_json(report)
     raise LatcorrError(f"unknown topo command {args.command}")
 

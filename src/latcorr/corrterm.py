@@ -6,7 +6,6 @@ factorization.  All arithmetic is exact; the incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -15,7 +14,7 @@ from math import floor
 from . import discgroup, exactmat
 from .overlattice import (OverLattice, int_gram, is_unimodular,
                           overlattice as build_overlattice)
-from .errors import EmptyConstraintSet, InputError
+from .errors import EmptyConstraintSet, InputError, InvariantViolation
 from .lattice import Lattice
 
 
@@ -25,10 +24,22 @@ class MinimizationResult:
     witness: tuple  # rational coordinates in the base-lattice basis
     nodes_visited: int
 
+    @property
+    def d(self):
+        """The correction term (min χ² − n)/4, as an exact Fraction."""
+        return Fraction(self.minimum - len(self.witness), 4)
+
+
+@dataclass(frozen=True)
+class DSetEntry:
+    metabolizer: object  # Subgroup M of the discriminant group
+    overlattice: object  # OverLattice U(M)
+    result: MinimizationResult  # min χ² over U(M); result.d is d_{U(M)}
+
 
 @dataclass(frozen=True)
 class DSet:
-    entries: tuple  # (metabolizer Subgroup, d-value Fraction) pairs
+    entries: tuple  # one DSetEntry per metabolizer
     contains_zero: bool
 
 
@@ -111,7 +122,8 @@ def min_char_square(obj):
     t = [Fraction(w, 2) for w in w0]
     val, u, nodes = coset_min(a, t)
     minimum = 4 * val
-    assert minimum.denominator == 1
+    if minimum.denominator != 1:
+        raise InvariantViolation("characteristic minimum is not an integer")
     w = [wi + 2 * ui for wi, ui in zip(w0, u)]
     coeffs = exactmat.mat_vec(a, w)
     witness = [sum(x * basis[k][j] for k, x in enumerate(coeffs))
@@ -120,46 +132,33 @@ def min_char_square(obj):
                               nodes_visited=nodes)
 
 
-def d_lattice(obj):
-    """The correction term (min χ² − n)/4 of a unimodular positive definite
-    lattice, as an exact Fraction."""
-    res = min_char_square(obj)
-    n = len(res.witness)
-    return Fraction(res.minimum - n, 4)
+def d_set(grp, cap=discgroup.DEFAULT_GROUP_CAP):
+    """One correction term d_{U(M)} per metabolizer M of the lattice-derived
+    discriminant group grp, with U(M) and its characteristic minimum."""
+    entries = []
+    for m in discgroup.metabolizers_of_group(grp, cap=cap):
+        u = build_overlattice(grp, m)
+        entries.append(DSetEntry(metabolizer=m, overlattice=u,
+                                 result=min_char_square(u)))
+    return DSet(tuple(entries), any(e.result.d == 0 for e in entries))
 
 
-def d_set(lat, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
-    """One correction term d_{U(M)} per metabolizer M of the lattice."""
-    mets = discgroup.metabolizers(lat, cap=cap)
-
-    def entry(m):
-        return m, d_lattice(build_overlattice(lat, m))
-
-    if threads > 1 and len(mets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(entry, mets))
-    else:
-        entries = [entry(m) for m in mets]
-    return DSet(entries=tuple(entries),
-                contains_zero=any(d == 0 for _, d in entries))
-
-
-def embeds_in_standard(lat, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
+def embeds_in_standard(lat, cap=discgroup.DEFAULT_GROUP_CAP):
     """True iff the lattice embeds in Zⁿ of the same rank (0 ∈ D)."""
-    return d_set(lat, cap=cap, threads=threads).contains_zero
+    return d_set(discgroup.disc_group(lat), cap=cap).contains_zero
 
 
-def constrained_min(lat, m):
-    """Exact min of (χ² − n)/4 over characteristic covectors of L whose
-    projection lies in the subgroup M.
+def constrained_min(grp, m):
+    """Exact min of (χ² − n)/4 over characteristic covectors of L =
+    grp.lattice whose projection lies in the subgroup M.
 
     The constraint set splits, per element of M and per mod-2 kernel class
     of the Gram matrix, into cosets of 2L; each piece is a plain coset
     minimization.
     """
+    lat = grp.lattice
     gram = lat.gram_rows()
     n = lat.rank
-    grp = discgroup.disc_group(lat)
     ginv = exactmat.inverse(gram)
     w0 = [gram[i][i] % 2 for i in range(n)]
     gfrac = [[Fraction(x) for x in row] for row in gram]

@@ -259,10 +259,6 @@ def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
                   key=lambda sg: sg.elements)
 
 
-def metabolizers(lat, cap=DEFAULT_GROUP_CAP):
-    return metabolizers_of_group(disc_group(lat), cap=cap)
-
-
 def annihilator(g, h):
     """All x with λ(x, y) = 0 for every y in the subgroup h."""
     elems = [x for x in g.elements()

@@ -63,3 +63,7 @@ class InputError(LatcorrError):
 
 class OracleDisagreement(LatcorrError):
     """A brute-force cross-check contradicted the optimized path."""
+
+
+class InvariantViolation(LatcorrError):
+    """An internal consistency check or a documented precondition failed."""

@@ -52,7 +52,7 @@ def make_lattice(gram):
     """Build a Lattice from a symmetric nonsingular definite Gram matrix."""
     if not exactmat.is_square(gram):
         raise InputError("Gram matrix must be square and nonempty")
-    if not all(isinstance(x, int) for row in gram for x in row):
+    if not all(type(x) is int for row in gram for x in row):  # bool is no int
         raise InputError("Gram matrix entries must be integers")
     if not exactmat.is_symmetric(gram):
         raise InputError("Gram matrix must be symmetric")

@@ -11,7 +11,7 @@ from math import isqrt
 
 from . import discgroup, exactmat
 from .overlattice import int_gram
-from .errors import SearchTooLarge
+from .errors import InvariantViolation, SearchTooLarge
 from .lattice import Lattice
 
 EMBED_DIAG_CAP = 36
@@ -128,9 +128,11 @@ def brute_char_min(obj, bound):
     for _, val in _enumerate_coset(a, t, radius):
         if best is None or val < best:
             best = val
-    assert best is not None, "bound below the true minimum"
+    if best is None:
+        raise InvariantViolation("bound below the true minimum")
     m = 4 * best
-    assert m.denominator == 1
+    if m.denominator != 1:
+        raise InvariantViolation("characteristic minimum is not an integer")
     return int(m)
 
 

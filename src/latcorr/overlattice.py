@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import discgroup, exactmat
-from .errors import NotIntegral
+from .errors import InvariantViolation, NotIntegral
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ def _canonical(lat, rows):
     for i in range(n):
         d *= basis[i][i]
     index = Fraction(1) / abs(d)
-    assert index.denominator == 1, "spanning rows do not contain the lattice"
+    if index.denominator != 1:
+        raise InvariantViolation("spanning rows do not contain the lattice")
     g = lat.gram_rows()
     gram = exactmat.matmul(exactmat.matmul(basis, g), exactmat.transpose(basis))
     return OverLattice(
@@ -43,11 +44,11 @@ def _canonical(lat, rows):
     )
 
 
-def overlattice(lat, m):
-    """U(M) = π⁻¹(M) for a subgroup M of the discriminant group."""
+def overlattice(grp, m):
+    """U(M) = π⁻¹(M) for a subgroup M of a lattice-derived group grp."""
+    lat = grp.lattice
     n = lat.rank
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    grp = discgroup.disc_group(lat)
     for gen in m.generators:
         rows.append(list(discgroup.lift(grp, gen)))
     return _canonical(lat, rows)
@@ -91,5 +92,6 @@ def index_check(lat, u):
         raise NotIntegral("index check requires an integral overlattice")
     disc = lattice_mod.discriminant(lat)
     dual = dual_of(lat, u)
-    assert disc % dual.index == 0
+    if disc % dual.index != 0:
+        raise InvariantViolation("dual index does not divide the discriminant")
     return u.index, disc // dual.index

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corrterm, discgroup, lattice as lattice_mod
-from .overlattice import overlattice as build_overlattice
 from .errors import GroupMismatch, IncompleteTable, InputError
 
 EVEN_ORDER_CAVEAT = (
@@ -23,7 +22,6 @@ EVEN_ORDER_CAVEAT = (
 
 @dataclass(frozen=True)
 class FillingPresentation:
-    lattice: object            # normalized positive definite Lattice
     group: object              # disc group of the normalized lattice
     boundary_pairing: tuple    # linking pairing of the boundary, sign-correct
     negated: bool
@@ -70,8 +68,16 @@ class ObstructionReport:
 def _parse_rational(s):
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational value {s!r}: {e}")
+
+
+def _expect(value, kind, what):
+    """A JSON value of exactly the given type (so a bool is no int)."""
+    if type(value) is not kind:
+        raise InputError(f"d-table {what} must be a JSON {kind.__name__}, "
+                         f"got {value!r}")
+    return value
 
 
 def load_dtable(path):
@@ -81,16 +87,21 @@ def load_dtable(path):
             obj = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read d-table file {path}: {e}")
+    _expect(obj, dict, "file")
     for key in ("orders", "pairing", "d", "z2_homology_sphere"):
         if key not in obj:
             raise InputError(f"d-table file is missing the '{key}' key")
-    orders = tuple(int(d) for d in obj["orders"])
-    pairing = tuple(tuple(_parse_rational(x) for x in row)
-                    for row in obj["pairing"])
+    orders = tuple(_expect(d, int, "order")
+                   for d in _expect(obj["orders"], list, "orders"))
+    pairing = tuple(tuple(_parse_rational(x) for x in _expect(row, list, "row"))
+                    for row in _expect(obj["pairing"], list, "pairing"))
     discgroup.group_from_table(orders, pairing)  # validates
     values = {}
-    for rec in obj["d"]:
-        elem = tuple(int(a) for a in rec["elem"])
+    for rec in _expect(obj["d"], list, "'d'"):
+        if "elem" not in _expect(rec, dict, "record") or "value" not in rec:
+            raise InputError("d-table record lacks 'elem' or 'value'")
+        elem = tuple(_expect(a, int, "element")
+                     for a in _expect(rec["elem"], list, "elem"))
         if len(elem) != len(orders) or any(
                 not 0 <= a < d for a, d in zip(elem, orders)):
             raise InputError(f"d-table element {elem} out of range")
@@ -119,8 +130,8 @@ def linking_form_of_filling(q):
         boundary = tuple(tuple((-x) % 1 for x in row) for row in grp.pairing)
     else:
         boundary = grp.pairing
-    return FillingPresentation(lattice=lat, group=grp,
-                               boundary_pairing=boundary, negated=lat.negated)
+    return FillingPresentation(group=grp, boundary_pairing=boundary,
+                               negated=lat.negated)
 
 
 def _orientation_note(negated):
@@ -130,13 +141,14 @@ def _orientation_note(negated):
     return None
 
 
-def donaldson_obstruction(q, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
+def donaldson_obstruction(q, cap=discgroup.DEFAULT_GROUP_CAP):
     """Does the filling lattice embed in Zⁿ?  If not, the boundary cannot
     bound a rational homology ball alongside this filling."""
     lat = lattice_mod.make_lattice(q)
-    ds = corrterm.d_set(lat, cap=cap, threads=threads)
-    evidence = tuple(MetabolizerRecord(metabolizer=m, d_over=d)
-                     for m, d in ds.entries)
+    ds = corrterm.d_set(discgroup.disc_group(lat), cap=cap)
+    evidence = tuple(
+        MetabolizerRecord(metabolizer=e.metabolizer, d_over=e.result.d)
+        for e in ds.entries)
     verdict = "unobstructed" if ds.contains_zero else "obstructed"
     reason = None
     if not ds.entries:
@@ -197,7 +209,7 @@ def definite_filling_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
     return ObstructionReport(verdict=verdict, evidence=evidence, caveat=caveat)
 
 
-def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
+def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
     """Verify 0 ≥ d_{U(M)} ≥ constrained min ≥ min d(Y,t) per metabolizer.
 
     A violated inequality means the d-table cannot belong to the boundary
@@ -206,23 +218,21 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
     """
     _require_complete(table)
     filling = linking_form_of_filling(q)
-    lat = filling.lattice
-    if table.orders != filling.group.orders or \
+    grp = filling.group
+    if table.orders != grp.orders or \
             table.pairing != filling.boundary_pairing:
         raise GroupMismatch(
             "d-table group or pairing does not match the filling boundary")
     if filling.negated:
         # orientation reversal: d(-Y, t) = -d(Y, t), elements conjugate
-        grp = filling.group
         values = {discgroup.neg(grp, e): -v for e, v in table.values.items()}
     else:
         values = table.values
-    mets = discgroup.metabolizers(lat, cap=cap)
     records = []
     embeds = False
-    for m in mets:
-        d_over = corrterm.d_lattice(build_overlattice(lat, m))
-        cmin = corrterm.constrained_min(lat, m)
+    for entry in corrterm.d_set(grp, cap=cap).entries:
+        m, d_over = entry.metabolizer, entry.result.d
+        cmin = corrterm.constrained_min(grp, m)
         tmin = min(values[e] for e in m.elements)
         failure = None
         if d_over > 0:
@@ -246,6 +256,6 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP, threads=1):
     elif embeds:
         reason = ("some metabolizer has min d(Y,t) >= 0, so the filling "
                   "lattice embeds in the standard lattice")
-    return ObstructionReport(verdict=verdict, evidence=tuple(records),
-                             reason=reason,
-                             orientation_note=_orientation_note(lat.negated))
+    return ObstructionReport(
+        verdict=verdict, evidence=tuple(records), reason=reason,
+        orientation_note=_orientation_note(filling.negated))

@@ -28,11 +28,11 @@ def test_negative_nine_by_nine_does_not_embed(capsys):
     lat = lattice_mod.make_lattice(neg_one_a8_gram())
     assert lat.negated
     assert lattice_mod.discriminant(lat) == 9
-    mets = discgroup.metabolizers(lat)
+    mets = discgroup.metabolizers_of_group(discgroup.disc_group(lat))
     assert len(mets) == 1
     assert mets[0].elements == ((0,), (3,), (6,))
-    ds = corrterm.d_set(lat)
-    assert {d for _, d in ds.entries} == {Fraction(-2)}
+    ds = corrterm.d_set(discgroup.disc_group(lat))
+    assert {e.result.d for e in ds.entries} == {Fraction(-2)}
     assert not ds.contains_zero
     code = cli.main(["lattice", "embed-check", str(DATA_DIR / "neg_one_a8.json")])
     capsys.readouterr()
@@ -42,8 +42,8 @@ def test_negative_nine_by_nine_does_not_embed(capsys):
 
 def test_nine_embeds(capsys):
     lat = lattice_mod.make_lattice([[9]])
-    ds = corrterm.d_set(lat)
-    assert [d for _, d in ds.entries] == [Fraction(0)]
+    ds = corrterm.d_set(discgroup.disc_group(lat))
+    assert [e.result.d for e in ds.entries] == [Fraction(0)]
     assert corrterm.embeds_in_standard(lat)
     found, witness = oracle.brute_embed(lat)
     assert found and witness == [(3,)]
@@ -115,12 +115,14 @@ def test_correction_term_sign_and_rigidity(capsys):
     assert len(cases) >= 50 + len(named)
     for g in cases:
         lat = lattice_mod.make_lattice(g)
-        d = corrterm.d_lattice(lat)
+        d = corrterm.min_char_square(lat).d
         assert d <= 0
         assert (d == 0) == oracle.is_standard(lat)
     for n in range(1, 10):
-        assert corrterm.d_lattice(lattice_mod.make_lattice(exactmat.identity(n))) == 0
-    assert corrterm.d_lattice(lattice_mod.make_lattice(e8_gram())) == -2
+        std = lattice_mod.make_lattice(exactmat.identity(n))
+        assert corrterm.min_char_square(std).d == 0
+    e8 = lattice_mod.make_lattice(e8_gram())
+    assert corrterm.min_char_square(e8).d == -2
     _ok(capsys, f"d <= 0 with equality iff standard, on {len(cases)} unimodular "
         "lattices")
 
@@ -145,9 +147,9 @@ def test_metabolizer_unimodular_correspondence(capsys):
     checked = 0
     for lat, disc, r in suite:
         g = discgroup.disc_group(lat)
-        mets = {m.elements for m in discgroup.metabolizers(lat)}
+        mets = {m.elements for m in discgroup.metabolizers_of_group(g)}
         for s in discgroup.subgroups_of_order(g, r):
-            u = build_overlattice(lat, s)
+            u = build_overlattice(g, s)
             assert is_unimodular(u) == (s.elements in mets)
             if is_integral(u):
                 du = abs(exactmat.det(
@@ -169,7 +171,7 @@ def test_index_duality(capsys):
             if disc % order:
                 continue
             for s in discgroup.subgroups_of_order(g, order):
-                u = build_overlattice(lat, s)
+                u = build_overlattice(g, s)
                 if not is_integral(u):
                     continue
                 up, down = index_check(lat, u)
@@ -187,9 +189,10 @@ def test_constrained_minimum_bounds_overlattice_term(capsys):
     strict = []
     checked = 0
     for lat, disc, _ in suite:
-        for m in discgroup.metabolizers(lat):
-            d_over = corrterm.d_lattice(build_overlattice(lat, m))
-            cmin = corrterm.constrained_min(lat, m)
+        g = discgroup.disc_group(lat)
+        for m in discgroup.metabolizers_of_group(g):
+            d_over = corrterm.min_char_square(build_overlattice(g, m)).d
+            cmin = corrterm.constrained_min(g, m)
             assert d_over >= cmin
             checked += 1
             if disc % 2 == 1 and d_over != cmin:
@@ -228,8 +231,9 @@ def test_oracle_equivalence(capsys):
         assert oracle.brute_char_min(lat, int(bound)) == res.minimum
     # rank 9: the unique unimodular overlattice of <1> + A8
     lat9 = lattice_mod.make_lattice(one_plus_a8_gram())
-    m = discgroup.metabolizers(lat9)[0]
-    u = build_overlattice(lat9, m)
+    g9 = discgroup.disc_group(lat9)
+    m = discgroup.metabolizers_of_group(g9)[0]
+    u = build_overlattice(g9, m)
     res = corrterm.min_char_square(u)
     assert oracle.brute_char_min(u, res.minimum) == res.minimum
     _ok(capsys, f"optimized paths match brute-force oracles on {count} random "

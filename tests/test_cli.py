@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from latcorr import cli
+from latcorr import cli, discgroup, topo
 
 from conftest import DATA_DIR
 
@@ -169,3 +170,78 @@ def test_json_output_is_deterministic(capsys):
     _, p1 = run_json(capsys, *args)
     _, p2 = run_json(capsys, *args)
     assert p1 == p2
+
+
+def _diag3333_files(tmp_path):
+    """diag(3,3,3,3), whose group (Z/3)⁴ has 8 metabolizers, and a complete
+    d-table on its boundary."""
+    gram = [[3 if i == j else 0 for j in range(4)] for i in range(4)]
+    lat_file = tmp_path / "diag3333.json"
+    lat_file.write_text(json.dumps({"gram": gram}))
+    filling = topo.linking_form_of_filling(gram)
+    elems = itertools.product(*(range(d) for d in filling.group.orders))
+    table_file = tmp_path / "diag3333_table.json"
+    table_file.write_text(json.dumps({
+        "orders": list(filling.group.orders),
+        "pairing": [[str(x) for x in row] for row in filling.boundary_pairing],
+        "d": [{"elem": list(e), "value": "0"} for e in elems],
+        "z2_homology_sphere": True}))
+    return lat_file, table_file, 8
+
+
+@pytest.mark.parametrize("command", ["dset", "embed-check", "chain"])
+@pytest.mark.parametrize("shape", ["nine", "diag3333"])
+def test_one_disc_group_per_query(capsys, monkeypatch, tmp_path, shape,
+                                  command):
+    if shape == "nine":
+        lat_file, table_file, n_mets = (DATA_DIR / "nine.json",
+                                        DATA_DIR / "s39_t23.json", 1)
+    else:
+        lat_file, table_file, n_mets = _diag3333_files(tmp_path)
+    if command == "chain":
+        argv = ["topo", "chain", "--filling", str(lat_file),
+                "--dtable", str(table_file)]
+    else:
+        argv = ["lattice", command, str(lat_file)]
+    calls = []
+    real = discgroup.disc_group
+
+    def counting(lat):
+        calls.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(discgroup, "disc_group", counting)
+    code, payload = run_json(capsys, *argv)
+    assert code in (0, 2)
+    assert len(payload.get("entries", payload.get("evidence"))) == n_mets
+    assert len(calls) == 1
+
+
+_GOOD_TABLE = {"orders": [9], "pairing": [["8/9"]],
+               "d": [{"elem": [i], "value": "0"} for i in range(9)],
+               "z2_homology_sphere": True}
+
+
+@pytest.mark.parametrize("table", [
+    5,
+    {**_GOOD_TABLE, "orders": ["x"]},
+    {**_GOOD_TABLE, "orders": [9.5]},
+    {**_GOOD_TABLE, "pairing": "8/9"},
+    {**_GOOD_TABLE, "d": 5},
+    {**_GOOD_TABLE, "d": [{"value": "0"}]},
+    {**_GOOD_TABLE, "d": [{"elem": [0]}]},
+    {**_GOOD_TABLE, "d": [[0, "0"]]},
+    {**_GOOD_TABLE, "d": [{"elem": 0, "value": "0"}]},
+    {**_GOOD_TABLE, "d": [{"elem": [0], "value": [0]}]},
+], ids=["number", "order-not-int", "order-float", "pairing-not-list",
+        "d-not-list", "record-no-elem", "record-no-value", "record-not-object",
+        "elem-not-list", "value-not-rational"])
+def test_malformed_dtable_is_an_input_error(capsys, tmp_path, table):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "topo", "rb-obstruction",
+                             "--dtable", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InputError: ")
+    assert err.count("\n") == 1

@@ -45,7 +45,7 @@ def test_min_char_square_standard():
         lat = lattice_mod.make_lattice(exactmat.identity(n))
         res = corrterm.min_char_square(lat)
         assert res.minimum == n
-        assert corrterm.d_lattice(lat) == 0
+        assert res.d == 0
 
 
 def test_min_char_square_e8():
@@ -53,14 +53,14 @@ def test_min_char_square_e8():
     res = corrterm.min_char_square(lat)
     assert res.minimum == 0
     assert res.witness == (0,) * 8
-    assert corrterm.d_lattice(lat) == -2
+    assert res.d == -2
 
 
 def test_min_char_square_z_plus_e8():
     lat = lattice_mod.make_lattice(z_plus_e8_gram())
     res = corrterm.min_char_square(lat)
     assert res.minimum == 1
-    assert corrterm.d_lattice(lat) == -2
+    assert res.d == -2
 
 
 def test_min_char_square_rejects_non_unimodular():
@@ -78,8 +78,9 @@ def test_witness_is_characteristic():
 
 def test_overlattice_witness_lies_in_overlattice_dual():
     lat = lattice_mod.make_lattice([[9]])
-    m = discgroup.metabolizers(lat)[0]
-    u = build_overlattice(lat, m)
+    g = discgroup.disc_group(lat)
+    m = discgroup.metabolizers_of_group(g)[0]
+    u = build_overlattice(g, m)
     res = corrterm.min_char_square(u)
     assert res.minimum == 1
     # witness is given in base-lattice coordinates; its square is the minimum
@@ -88,57 +89,52 @@ def test_overlattice_witness_lies_in_overlattice_dual():
 
 def test_d_invariant_stable_under_basis_change(rng):
     lat0 = lattice_mod.make_lattice(e8_gram())
-    d0 = corrterm.d_lattice(lat0)
+    d0 = corrterm.min_char_square(lat0).d
     for _ in range(5):
         t = random_unimodular(rng, 8)
         lat = lattice_mod.make_lattice(basis_change(e8_gram(), t))
-        assert corrterm.d_lattice(lat) == d0
+        assert corrterm.min_char_square(lat).d == d0
 
 
 def test_d_of_direct_sum_with_z():
     # d(Z ⊕ U) = d(U): adding a unit summand does not change the invariant
     g = e8_gram()
     padded = [[1] + [0] * 8] + [[0] + row for row in g]
-    assert corrterm.d_lattice(lattice_mod.make_lattice(padded)) == \
-        corrterm.d_lattice(lattice_mod.make_lattice(g))
+    assert corrterm.min_char_square(lattice_mod.make_lattice(padded)).d == \
+        corrterm.min_char_square(lattice_mod.make_lattice(g)).d
 
 
 def test_d_set_nine():
     lat = lattice_mod.make_lattice([[9]])
-    ds = corrterm.d_set(lat)
+    ds = corrterm.d_set(discgroup.disc_group(lat))
     assert len(ds.entries) == 1
-    m, d = ds.entries[0]
-    assert m.elements == ((0,), (3,), (6,))
-    assert d == 0
+    e = ds.entries[0]
+    assert e.metabolizer.elements == ((0,), (3,), (6,))
+    assert e.result.d == 0
+    assert e.result.minimum == 1
     assert ds.contains_zero
     assert corrterm.embeds_in_standard(lat)
 
 
 def test_d_set_neg_one_a8():
     lat = lattice_mod.make_lattice(neg_one_a8_gram())
-    ds = corrterm.d_set(lat)
-    assert {d for _, d in ds.entries} == {Fraction(-2)}
+    ds = corrterm.d_set(discgroup.disc_group(lat))
+    assert {e.result.d for e in ds.entries} == {Fraction(-2)}
     assert not ds.contains_zero
     assert not corrterm.embeds_in_standard(lat)
 
 
-def test_d_set_threads_match_serial():
-    lat = lattice_mod.make_lattice(d4_gram())
-    serial = corrterm.d_set(lat, threads=1)
-    parallel = corrterm.d_set(lat, threads=4)
-    assert serial == parallel
-
-
 def test_d_set_no_metabolizers_is_empty():
-    ds = corrterm.d_set(lattice_mod.make_lattice([[2]]))
+    ds = corrterm.d_set(discgroup.disc_group(lattice_mod.make_lattice([[2]])))
     assert ds.entries == ()
     assert not ds.contains_zero
 
 
 def test_constrained_min_nine():
     lat = lattice_mod.make_lattice([[9]])
-    m = discgroup.metabolizers(lat)[0]
-    assert corrterm.constrained_min(lat, m) == 0
+    g = discgroup.disc_group(lat)
+    m = discgroup.metabolizers_of_group(g)[0]
+    assert corrterm.constrained_min(g, m) == 0
 
 
 def test_constrained_min_matches_direct_scan():
@@ -146,7 +142,7 @@ def test_constrained_min_matches_direct_scan():
     # keep those whose projection lies in the metabolizer
     lat = lattice_mod.make_lattice([[9]])
     grp = discgroup.disc_group(lat)
-    m = discgroup.metabolizers(lat)[0]
+    m = discgroup.metabolizers_of_group(grp)[0]
     elems = set(m.elements)
     best = None
     for w in range(-45, 46, 2):
@@ -155,16 +151,17 @@ def test_constrained_min_matches_direct_scan():
             continue
         sq = lattice_mod.pairing(lat, chi, chi)
         best = sq if best is None else min(best, sq)
-    assert corrterm.constrained_min(lat, m) == (best - 1) / 4
+    assert corrterm.constrained_min(grp, m) == (best - 1) / 4
 
 
 def test_constrained_min_bounds_d_over(rng):
     # d_{U(M)} >= constrained minimum, for several small lattices
     for gram in ([[9]], [[4]], d4_gram(), [[1, 0], [0, 9]]):
         lat = lattice_mod.make_lattice(gram)
-        for m in discgroup.metabolizers(lat):
-            d_over = corrterm.d_lattice(build_overlattice(lat, m))
-            cmin = corrterm.constrained_min(lat, m)
+        grp = discgroup.disc_group(lat)
+        for m in discgroup.metabolizers_of_group(grp):
+            d_over = corrterm.min_char_square(build_overlattice(grp, m)).d
+            cmin = corrterm.constrained_min(grp, m)
             assert d_over >= cmin
 
 
@@ -176,4 +173,4 @@ def test_constrained_min_full_group():
     full = discgroup.make_subgroup(grp, set(grp.elements()))
     # [[4]] is even, so characteristic dual coordinates are even; w = 0 is
     # characteristic with square 0, hence (0 - 1)/4
-    assert corrterm.constrained_min(lat, full) == Fraction(-1, 4)
+    assert corrterm.constrained_min(grp, full) == Fraction(-1, 4)

@@ -135,13 +135,14 @@ def test_subgroups_of_order_nine():
 
 def test_metabolizers_nine():
     lat = lattice_mod.make_lattice([[9]])
-    mets = discgroup.metabolizers(lat)
+    mets = discgroup.metabolizers_of_group(discgroup.disc_group(lat))
     assert len(mets) == 1
     assert mets[0].elements == ((0,), (3,), (6,))
 
 
 def test_metabolizers_d4():
-    mets = discgroup.metabolizers(lattice_mod.make_lattice(d4_gram()))
+    g = discgroup.disc_group(lattice_mod.make_lattice(d4_gram()))
+    mets = discgroup.metabolizers_of_group(g)
     assert len(mets) == 3
     for m in mets:
         assert m.order == 2
@@ -149,19 +150,21 @@ def test_metabolizers_d4():
 
 def test_metabolizers_three_three_empty():
     # (Z/3)² with diagonal form <1/3, 1/3> has no isotropic order-3 subgroup
-    mets = discgroup.metabolizers(lattice_mod.make_lattice([[3, 0], [0, 3]]))
+    g = discgroup.disc_group(lattice_mod.make_lattice([[3, 0], [0, 3]]))
+    mets = discgroup.metabolizers_of_group(g)
     assert mets == []
 
 
 def test_metabolizers_non_square_order():
-    mets = discgroup.metabolizers(lattice_mod.make_lattice([[2]]))
+    g = discgroup.disc_group(lattice_mod.make_lattice([[2]]))
+    mets = discgroup.metabolizers_of_group(g)
     assert mets == []
 
 
 def test_metabolizers_isotropy():
     lat = lattice_mod.make_lattice([[1, 0], [0, 25]])
     g = discgroup.disc_group(lat)
-    for m in discgroup.metabolizers(lat):
+    for m in discgroup.metabolizers_of_group(g):
         assert m.order ** 2 == g.order
         for x in m.elements:
             for y in m.elements:
@@ -171,13 +174,13 @@ def test_metabolizers_isotropy():
 def test_metabolizer_cap():
     lat = lattice_mod.make_lattice([[101]])
     with pytest.raises(GroupTooLarge):
-        discgroup.metabolizers(lat, cap=100)
+        discgroup.metabolizers_of_group(discgroup.disc_group(lat), cap=100)
 
 
 def test_annihilator():
     lat = lattice_mod.make_lattice([[9]])
     g = discgroup.disc_group(lat)
-    m = discgroup.metabolizers(lat)[0]
+    m = discgroup.metabolizers_of_group(g)[0]
     ann = discgroup.annihilator(g, m)
     # a metabolizer is self-annihilating
     assert ann.elements == m.elements

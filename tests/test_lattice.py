@@ -31,6 +31,8 @@ def test_make_lattice_rejections():
         lattice_mod.make_lattice([[1, 2], [0, 1]])
     with pytest.raises(InputError):
         lattice_mod.make_lattice([[Fraction(1, 2)]])
+    with pytest.raises(InputError):
+        lattice_mod.make_lattice([[True]])
     with pytest.raises(SingularForm):
         lattice_mod.make_lattice([[1, 1], [1, 1]])
     with pytest.raises(IndefiniteForm):

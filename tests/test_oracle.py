@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod, oracle
-from latcorr.errors import SearchTooLarge
+from latcorr.errors import InvariantViolation, SearchTooLarge
 
 from conftest import a8_gram, e8_gram, random_posdef_gram
 
@@ -12,6 +12,12 @@ def test_vectors_of_norm():
     assert set(oracle._vectors_of_norm(2, 1)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert oracle._vectors_of_norm(1, 3) == ()
     assert oracle._vectors_of_norm(0, 0) == ((),)
+
+
+def test_brute_char_min_rejects_bound_below_minimum():
+    # the caller's bound must be achieved; [[1]] has min χ² = 1
+    with pytest.raises(InvariantViolation):
+        oracle.brute_char_min(lattice_mod.make_lattice([[1]]), 0)
 
 
 def test_brute_embed_finds_witness():

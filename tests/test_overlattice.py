@@ -11,23 +11,22 @@ from latcorr.errors import NotIntegral
 from conftest import a8_gram, d4_gram, random_posdef_gram
 
 
-def _trivial_subgroup(lat):
-    g = discgroup.disc_group(lat)
+def _trivial_subgroup(g):
     return discgroup.make_subgroup(g, {g.identity})
 
 
 def test_trivial_overlattice_is_the_lattice():
-    lat = lattice_mod.make_lattice([[9]])
-    u = build_overlattice(lat, _trivial_subgroup(lat))
+    g = discgroup.disc_group(lattice_mod.make_lattice([[9]]))
+    u = build_overlattice(g, _trivial_subgroup(g))
     assert u.index == 1
     assert u.basis == ((Fraction(1),),)
     assert u.gram == ((Fraction(9),),)
 
 
 def test_nine_metabolizer_overlattice_is_standard():
-    lat = lattice_mod.make_lattice([[9]])
-    m = discgroup.metabolizers(lat)[0]
-    u = build_overlattice(lat, m)
+    g = discgroup.disc_group(lattice_mod.make_lattice([[9]]))
+    m = discgroup.metabolizers_of_group(g)[0]
+    u = build_overlattice(g, m)
     assert u.index == 3
     assert is_integral(u)
     assert is_unimodular(u)
@@ -39,7 +38,7 @@ def test_thirtysix_order_two_subgroup():
     lat = lattice_mod.make_lattice([[36]])
     g = discgroup.disc_group(lat)
     m = discgroup.make_subgroup(g, discgroup.closure(g, [(18,)]))
-    u = build_overlattice(lat, m)
+    u = build_overlattice(g, m)
     assert u.index == 2
     assert int_gram(u) == [[9]]
     assert index_check(lat, u) == (2, 2)
@@ -53,7 +52,7 @@ def test_non_metabolizing_subgroup_gives_non_integral_form():
     subs = discgroup.subgroups_of_order(g, 3)
     assert len(subs) == 4
     for s in subs:
-        u = build_overlattice(lat, s)
+        u = build_overlattice(g, s)
         assert u.index == 3
         assert not is_integral(u)
         assert not is_unimodular(u)
@@ -67,18 +66,19 @@ def test_metabolizer_iff_unimodular(rng):
         lat = lattice_mod.make_lattice(random_posdef_gram(rng))
         g = discgroup.disc_group(lat)
         disc = lattice_mod.discriminant(lat)
-        mets = {m.elements for m in discgroup.metabolizers(lat)}
+        mets = {m.elements for m in discgroup.metabolizers_of_group(g)}
         for order in sorted({s for s in range(1, disc + 1)
                              if s * s == disc and disc % s == 0}):
             for s in discgroup.subgroups_of_order(g, order, cap=10 ** 4):
-                u = build_overlattice(lat, s)
+                u = build_overlattice(g, s)
                 assert is_unimodular(u) == (s.elements in mets)
 
 
 def test_index_and_gram_scaling():
     lat = lattice_mod.make_lattice(d4_gram())
-    for m in discgroup.metabolizers(lat):
-        u = build_overlattice(lat, m)
+    g = discgroup.disc_group(lat)
+    for m in discgroup.metabolizers_of_group(g):
+        u = build_overlattice(g, m)
         assert u.index == 2
         assert is_unimodular(u)
         # disc(L) = [U:L]² · disc(U)
@@ -87,14 +87,16 @@ def test_index_and_gram_scaling():
 
 def test_dual_of_unimodular_is_itself():
     lat = lattice_mod.make_lattice(d4_gram())
-    m = discgroup.metabolizers(lat)[0]
-    u = build_overlattice(lat, m)
+    g = discgroup.disc_group(lat)
+    m = discgroup.metabolizers_of_group(g)[0]
+    u = build_overlattice(g, m)
     assert dual_of(lat, u) == u
 
 
 def test_dual_of_lattice_itself():
     lat = lattice_mod.make_lattice(a8_gram())
-    u = build_overlattice(lat, _trivial_subgroup(lat))
+    g = discgroup.disc_group(lat)
+    u = build_overlattice(g, _trivial_subgroup(g))
     dual = dual_of(lat, u)
     # [L* : L] = disc
     assert dual.index == lattice_mod.discriminant(lat)
@@ -114,7 +116,7 @@ def test_index_identity_intermediate(rng):
             if disc % order != 0:
                 continue
             for s in discgroup.subgroups_of_order(g, order, cap=10 ** 4):
-                u = build_overlattice(lat, s)
+                u = build_overlattice(g, s)
                 if not is_integral(u):
                     continue
                 up, down = index_check(lat, u)
@@ -122,11 +124,10 @@ def test_index_identity_intermediate(rng):
 
 
 def test_canonical_form_is_basis_independent():
-    lat = lattice_mod.make_lattice([[9]])
-    m = discgroup.metabolizers(lat)[0]
-    u1 = build_overlattice(lat, m)
+    g = discgroup.disc_group(lattice_mod.make_lattice([[9]]))
+    m = discgroup.metabolizers_of_group(g)[0]
+    u1 = build_overlattice(g, m)
     # same subgroup handed over with a different generator
-    g = discgroup.disc_group(lat)
     m2 = discgroup.Subgroup(elements=m.elements, generators=((6,),))
-    u2 = build_overlattice(lat, m2)
+    u2 = build_overlattice(g, m2)
     assert u1 == u2
