@@ -4,6 +4,8 @@ The kernel minimizes (u+t)ᵀA(u+t) over integer vectors u for a positive
 definite rational A, by depth-first branch and bound over the LDLᵀ
 factorization.  All arithmetic is exact; the incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
+`min_char_square` first LLL-reduces the basis and splits off the vectors of
+square 1, so the search only sees the part of the lattice without them.
 """
 
 from dataclasses import dataclass
@@ -114,21 +116,48 @@ def _unimodular_gram(obj):
 
 def min_char_square(obj):
     """Exact min of χ² over the characteristic vectors of a unimodular
-    positive definite lattice, with a witness in base-lattice coordinates."""
+    positive definite lattice, with a witness in base-lattice coordinates.
+
+    The basis is LLL-reduced, and every reduced basis vector v of square 1
+    is split off: U = Zv ⊕ v^⊥, and the characteristic minimum of Zv is 1,
+    attained at v.  Reduction and splitting repeat until no basis vector
+    of square 1 is left; only that rest goes to the branch and bound.
+    """
     gram, basis = _unimodular_gram(obj)
     n = len(gram)
-    w0 = [gram[i][i] % 2 for i in range(n)]
-    a = exactmat.inverse(gram)
-    t = [Fraction(w, 2) for w in w0]
-    val, u, nodes = coset_min(a, t)
-    minimum = 4 * val
-    if minimum.denominator != 1:
-        raise InvariantViolation("characteristic minimum is not an integer")
-    w = [wi + 2 * ui for wi, ui in zip(w0, u)]
-    coeffs = exactmat.mat_vec(a, w)
-    witness = [sum(x * basis[k][j] for k, x in enumerate(coeffs))
+    rows = exactmat.identity(n)  # basis of the rest, in obj's basis
+    chi = [0] * n  # the witness in obj's basis
+    minimum = 0
+    nodes = 0
+    while rows:
+        t, gram = exactmat.lll_gram(gram)
+        rows = exactmat.matmul(t, rows)
+        units = [i for i, row in enumerate(gram) if row[i] == 1]
+        if not units:
+            break
+        # basis vectors of square 1 are pairwise orthogonal (Cauchy–Schwarz)
+        for i in units:
+            chi = [x + y for x, y in zip(chi, rows[i])]
+        minimum += len(units)
+        rest = [j for j in range(len(rows)) if j not in units]
+        rows = [[x - sum(gram[j][i] * rows[i][c] for i in units)
+                 for c, x in enumerate(rows[j])] for j in rest]
+        gram = [[gram[j][k] - sum(gram[j][i] * gram[k][i] for i in units)
+                 for k in rest] for j in rest]
+    if rows:
+        # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
+        # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
+        x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
+                                           enumerate(gram)])
+        val, u, nodes = coset_min(gram, [Fraction(x, 2) for x in x0])
+        if (4 * val).denominator != 1:
+            raise InvariantViolation("characteristic minimum is not an integer")
+        minimum += int(4 * val)
+        for xi, ui, row in zip(x0, u, rows):
+            chi = [x + (xi + 2 * ui) * y for x, y in zip(chi, row)]
+    witness = [sum(x * basis[k][j] for k, x in enumerate(chi))
                for j in range(n)]
-    return MinimizationResult(minimum=int(minimum), witness=tuple(witness),
+    return MinimizationResult(minimum=minimum, witness=tuple(witness),
                               nodes_visited=nodes)
 
 
@@ -159,7 +188,7 @@ def constrained_min(grp, m):
     lat = grp.lattice
     gram = lat.gram_rows()
     n = lat.rank
-    ginv = exactmat.inverse(gram)
+    ginv = grp.gram_inverse
     w0 = [gram[i][i] % 2 for i in range(n)]
     gfrac = [[Fraction(x) for x in row] for row in gram]
     best = None

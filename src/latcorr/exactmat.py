@@ -263,6 +263,78 @@ def rational_cholesky(g):
     return lo, dd
 
 
+def lll_gram(gram):
+    """Integral LLL reduction (δ = 3/4) of a positive definite integer Gram
+    matrix, after Cohen, GTM 138, Algorithm 2.6.7.
+
+    Returns (T, T·G·Tᵀ) with T unimodular; the rows of T are the reduced
+    basis in the input basis.  Only integers are used: d[i] is the Gram
+    determinant of the first i vectors and lam[k][j] = d[j+1]·μ_kj.  Raises
+    NotPositiveDefinite when some d[i] is not positive.
+    """
+    n = len(gram)
+    g = copy_matrix(gram)
+    t = identity(n)
+    d = [1] + [0] * n
+    lam = zeros(n, n)
+
+    def red(k, l):  # b_k -= q·b_l with q the integer nearest μ_kl
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        t[k] = [x - q * y for x, y in zip(t[k], t[l])]
+        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):  # exchange b_{k-1} and b_k
+        t[k - 1], t[k] = t[k], t[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            old = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * old) // d[k]
+            lam[i][k - 1] = (b * old + mu * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    def extend(k):  # Gram–Schmidt data of a vector not seen before
+        for j in range(k + 1):
+            u = g[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise NotPositiveDefinite("matrix is not positive definite")
+            else:
+                d[k + 1] = u
+
+    if n:
+        extend(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            extend(k)
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+            continue
+        for l in range(k - 2, -1, -1):
+            red(k, l)
+        k += 1
+    return t, g
+
+
 def is_positive_definite(g):
     try:
         rational_cholesky(g)

@@ -50,6 +50,10 @@ class CharCoset:
 
 def make_lattice(gram):
     """Build a Lattice from a symmetric nonsingular definite Gram matrix."""
+    rows = (list, tuple)
+    if not isinstance(gram, rows) or \
+            not all(isinstance(row, rows) for row in gram):
+        raise InputError("Gram matrix must be a list of rows")
     if not exactmat.is_square(gram):
         raise InputError("Gram matrix must be square and nonempty")
     if not all(type(x) is int for row in gram for x in row):  # bool is no int

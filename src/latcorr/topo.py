@@ -108,7 +108,7 @@ def load_dtable(path):
         if elem in values:
             raise InputError(f"duplicate d-table element {elem}")
         values[elem] = _parse_rational(rec["value"])
-    z2 = bool(obj["z2_homology_sphere"])
+    z2 = _expect(obj["z2_homology_sphere"], bool, "z2_homology_sphere")
     if z2 != all(d % 2 == 1 for d in orders):
         raise InputError(
             "z2_homology_sphere flag contradicts the group orders")

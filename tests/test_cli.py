@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from latcorr import cli, discgroup, topo
+from latcorr import cli, discgroup, exactmat, topo
 
 from conftest import DATA_DIR
 
@@ -217,6 +217,45 @@ def test_one_disc_group_per_query(capsys, monkeypatch, tmp_path, shape,
     assert len(calls) == 1
 
 
+def test_chain_inverts_the_filling_gram_once(capsys, monkeypatch, tmp_path):
+    # disc_group inverts the filling's Gram matrix; the eight constrained
+    # minima reuse that inverse from the group
+    lat_file, table_file, n_mets = _diag3333_files(tmp_path)
+    gram = json.loads(lat_file.read_text())["gram"]
+    calls = []
+    real = exactmat.inverse
+
+    def counting(a):
+        if [list(row) for row in a] == gram:
+            calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(exactmat, "inverse", counting)
+    code, payload = run_json(capsys, "topo", "chain", "--filling",
+                             str(lat_file), "--dtable", str(table_file))
+    assert code == 0
+    assert len(payload["evidence"]) == n_mets
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gram", [
+    5, [1], [[1], 2], "ab", None, {"0": [1]}, [[1, 0], [0]],
+], ids=["number", "flat-list", "mixed-rows", "string", "null", "object",
+        "ragged"])
+@pytest.mark.parametrize("command", [["lattice", "info"],
+                                     ["topo", "linking-form"]],
+                         ids=["lattice-info", "topo-linking-form"])
+def test_malformed_lattice_file_is_an_input_error(capsys, tmp_path, gram,
+                                                  command):
+    p = tmp_path / "lattice.json"
+    p.write_text(json.dumps({"gram": gram}))
+    code, out, err = run_cli(capsys, *command, str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InputError: ")
+    assert err.count("\n") == 1
+
+
 _GOOD_TABLE = {"orders": [9], "pairing": [["8/9"]],
                "d": [{"elem": [i], "value": "0"} for i in range(9)],
                "z2_homology_sphere": True}
@@ -233,9 +272,13 @@ _GOOD_TABLE = {"orders": [9], "pairing": [["8/9"]],
     {**_GOOD_TABLE, "d": [[0, "0"]]},
     {**_GOOD_TABLE, "d": [{"elem": 0, "value": "0"}]},
     {**_GOOD_TABLE, "d": [{"elem": [0], "value": [0]}]},
+    {**_GOOD_TABLE, "z2_homology_sphere": "no"},
+    {**_GOOD_TABLE, "z2_homology_sphere": 1},
+    {**_GOOD_TABLE, "z2_homology_sphere": None},
 ], ids=["number", "order-not-int", "order-float", "pairing-not-list",
         "d-not-list", "record-no-elem", "record-no-value", "record-not-object",
-        "elem-not-list", "value-not-rational"])
+        "elem-not-list", "value-not-rational", "z2-string", "z2-int",
+        "z2-null"])
 def test_malformed_dtable_is_an_input_error(capsys, tmp_path, table):
     p = tmp_path / "table.json"
     p.write_text(json.dumps(table))

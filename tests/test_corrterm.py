@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod
+from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
+                     oracle)
 from latcorr.errors import InputError
 from latcorr.overlattice import overlattice as build_overlattice
 
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
-                      neg_one_a8_gram, random_unimodular, z_plus_e8_gram)
+                      neg_one_a8_gram, random_posdef_gram, random_unimodular,
+                      z_plus_e8_gram)
 
 
 def test_coset_min_trivial():
@@ -96,12 +99,26 @@ def test_d_invariant_stable_under_basis_change(rng):
         assert corrterm.min_char_square(lat).d == d0
 
 
-def test_d_of_direct_sum_with_z():
-    # d(Z ⊕ U) = d(U): adding a unit summand does not change the invariant
-    g = e8_gram()
-    padded = [[1] + [0] * 8] + [[0] + row for row in g]
-    assert corrterm.min_char_square(lattice_mod.make_lattice(padded)).d == \
-        corrterm.min_char_square(lattice_mod.make_lattice(g)).d
+def _padded(gram, k):
+    """gram ⊕ I_k."""
+    n = len(gram)
+    return [list(row) + [0] * k for row in gram] + \
+        [[0] * n + [int(i == j) for j in range(k)] for i in range(k)]
+
+
+def test_d_of_direct_sum_with_z(rng):
+    # d(U ⊕ Zᵏ) = d(U): unit summands do not change the invariant, also
+    # after a change of basis of the sum
+    grams = [e8_gram(), z_plus_e8_gram(), exactmat.identity(2)]
+    grams += [basis_change(e8_gram(), random_unimodular(rng, 8, ops=20))]
+    for gram in grams:
+        d = corrterm.min_char_square(lattice_mod.make_lattice(gram)).d
+        for k in (1, 3):
+            padded = _padded(gram, k)
+            t = random_unimodular(rng, len(padded), ops=30)
+            for g in (padded, basis_change(padded, t)):
+                res = corrterm.min_char_square(lattice_mod.make_lattice(g))
+                assert res.d == d
 
 
 def test_d_set_nine():
@@ -174,3 +191,62 @@ def test_constrained_min_full_group():
     # [[4]] is even, so characteristic dual coordinates are even; w = 0 is
     # characteristic with square 0, hence (0 - 1)/4
     assert corrterm.constrained_min(grp, full) == Fraction(-1, 4)
+
+
+def _assert_witness(lat, basis, res):
+    """The witness lies in the lattice spanned by basis (rows in the
+    coordinates of lat), is characteristic there and has square minimum."""
+    w = res.witness
+    inv = exactmat.inverse([list(r) for r in basis])
+    coords = [sum(w[i] * inv[i][j] for i in range(len(w)))
+              for j in range(len(w))]
+    assert all(x.denominator == 1 for x in coords)
+    for row in basis:
+        assert (lattice_mod.pairing(lat, w, row)
+                - lattice_mod.pairing(lat, row, row)) % 2 == 0
+    assert lattice_mod.pairing(lat, w, w) == res.minimum
+
+
+def _unimodular_cases(rng):
+    """Seeded conjugates of Iₙ (n ≤ 6) and of E8 ⊕ I_k (k ≤ 3)."""
+    for n in range(1, 7):
+        yield basis_change(exactmat.identity(n),
+                           random_unimodular(rng, n, ops=4 * n))
+    for k in range(4):
+        yield basis_change(_padded(e8_gram(), k),
+                           random_unimodular(rng, 8 + k, ops=24))
+
+
+def test_min_char_square_matches_oracle_on_conjugates(rng):
+    for gram in _unimodular_cases(rng):
+        lat = lattice_mod.make_lattice(gram)
+        res = corrterm.min_char_square(lat)
+        n = len(gram)
+        assert oracle.brute_char_min(lat, res.minimum) == res.minimum
+        assert res.minimum == (n - 8 if n >= 8 else n)
+        _assert_witness(lat, exactmat.identity(n), res)
+
+
+def test_min_char_square_matches_oracle_on_overlattices(rng):
+    seen = 0
+    grams = [one_plus_a8_gram(), [[1, 0], [0, 9]]]
+    while seen < 20:
+        gram = grams.pop() if grams else random_posdef_gram(rng)
+        lat = lattice_mod.make_lattice(gram)
+        grp = discgroup.disc_group(lat)
+        for m in discgroup.metabolizers_of_group(grp):
+            u = build_overlattice(grp, m)
+            res = corrterm.min_char_square(u)
+            assert oracle.brute_char_min(u, res.minimum) == res.minimum
+            _assert_witness(lat, u.basis, res)
+            seen += 1
+
+
+def test_conjugate_of_i16_needs_no_search():
+    # all sixteen unit vectors are split off, so branch and bound never runs
+    rng = random.Random(16)
+    gram = basis_change(exactmat.identity(16),
+                        random_unimodular(rng, 16, ops=64))
+    res = corrterm.min_char_square(lattice_mod.make_lattice(gram))
+    assert res.minimum == 16 and res.d == 0
+    assert res.nodes_visited == 0

@@ -8,7 +8,7 @@ import pytest
 from latcorr import exactmat
 from latcorr.errors import NotPositiveDefinite, SingularMatrix
 
-from conftest import a8_gram
+from conftest import a8_gram, basis_change, e8_gram, random_unimodular
 
 
 def cofactor_det(a):
@@ -234,3 +234,63 @@ def test_solve_mod2_roundtrip():
         for k in kernel:
             assert all(sum(a[i][j] * k[j] for j in range(cols)) % 2 == 0
                        for i in range(rows))
+
+
+def _assert_lll_reduced(gram, t, reduced):
+    """T unimodular, T·G·Tᵀ the returned Gram, |μ_kj| ≤ 1/2 and the Lovász
+    condition with δ = 3/4, the last two read off an independent LDLᵀ."""
+    assert all(type(x) is int for row in t + reduced for x in row)
+    assert abs(cofactor_det(t)) == 1
+    assert exactmat.matmul(exactmat.matmul(t, gram),
+                           exactmat.transpose(t)) == reduced
+    mu, b = exactmat.rational_cholesky(reduced)
+    n = len(gram)
+    for k in range(n):
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        if k:
+            assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+
+
+def _conjugate(rng, gram, ops):
+    return basis_change(gram, random_unimodular(rng, len(gram), ops=ops))
+
+
+def test_lll_gram_conjugates_of_standard_lattice():
+    rng = random.Random(31)
+    for n in range(1, 13):
+        g = _conjugate(rng, exactmat.identity(n), 4 * n)
+        t, reduced = exactmat.lll_gram(g)
+        _assert_lll_reduced(g, t, reduced)
+        # every reduced basis of Zⁿ seen here is the standard one up to signs
+        assert reduced == exactmat.identity(n)
+
+
+def test_lll_gram_e8_plus_standard():
+    rng = random.Random(32)
+    for k in range(4):
+        g = [row + [0] * k for row in e8_gram()] + \
+            [[0] * 8 + [int(i == j) for j in range(k)] for i in range(k)]
+        g = _conjugate(rng, g, 30)
+        t, reduced = exactmat.lll_gram(g)
+        _assert_lll_reduced(g, t, reduced)
+        assert sorted(reduced[i][i] for i in range(8 + k)) == \
+            [1] * k + [2] * 8
+
+
+def test_lll_gram_random_forms():
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        while True:
+            b = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if exactmat.det(b):
+                break
+        g = exactmat.matmul(b, exactmat.transpose(b))
+        t, reduced = exactmat.lll_gram(g)
+        _assert_lll_reduced(g, t, reduced)
+
+
+def test_lll_gram_rejects_non_definite():
+    for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]]):
+        with pytest.raises(NotPositiveDefinite):
+            exactmat.lll_gram(g)
