@@ -7,8 +7,8 @@ from .corrterm import (DSet, DSetEntry, MinimizationResult, constrained_min,
 from .discgroup import (DiscGroup, Subgroup, annihilator, disc_group,
                         group_from_table, lam, metabolizers_of_group, project,
                         subgroups_of_order)
-from .lattice import (CharCoset, Lattice, characteristic_base, discriminant,
-                      is_characteristic, load_lattice, make_lattice)
+from .lattice import (Lattice, discriminant, is_characteristic, load_lattice,
+                      make_lattice)
 from .overlattice import (OverLattice, dual_of, index_check, is_integral,
                           is_unimodular, overlattice)
 from .topo import (DInvariantTable, FillingPresentation, ObstructionReport,
@@ -17,10 +17,10 @@ from .topo import (DInvariantTable, FillingPresentation, ObstructionReport,
                    rb_correction_obstruction)
 
 __all__ = [
-    "CharCoset", "DInvariantTable", "DSet", "DSetEntry", "DiscGroup",
+    "DInvariantTable", "DSet", "DSetEntry", "DiscGroup",
     "FillingPresentation", "Lattice", "MinimizationResult",
     "ObstructionReport", "OverLattice", "Subgroup", "annihilator",
-    "chain_check", "characteristic_base", "constrained_min", "d_set",
+    "chain_check", "constrained_min", "d_set",
     "definite_filling_obstruction", "disc_group", "discriminant",
     "donaldson_obstruction", "dual_of", "embeds_in_standard",
     "group_from_table", "index_check", "is_characteristic", "is_integral",

@@ -5,18 +5,18 @@ definite rational A, by depth-first branch and bound over the LDLᵀ
 factorization.  All arithmetic is exact; the incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
 `min_char_square` first LLL-reduces the basis and splits off the vectors of
-square 1, so the search only sees the part of the lattice without them.
+square 1, so the search only sees the part of the lattice without them;
+`constrained_min` searches its one characteristic coset in a reduced basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import floor
+from math import floor, lcm
 
 from . import discgroup, exactmat
 from .overlattice import (OverLattice, int_gram, is_unimodular,
                           overlattice as build_overlattice)
-from .errors import EmptyConstraintSet, InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, NotInDualLattice
 from .lattice import Lattice
 
 
@@ -177,42 +177,34 @@ def embeds_in_standard(lat, cap=discgroup.DEFAULT_GROUP_CAP):
     return d_set(discgroup.disc_group(lat), cap=cap).contains_zero
 
 
-def constrained_min(grp, m):
-    """Exact min of (χ² − n)/4 over characteristic covectors of L =
-    grp.lattice whose projection lies in the subgroup M.
+def constrained_min(lat, u):
+    """Exact min of (χ² − n)/4 over the characteristic covectors χ of L that
+    lie in the intermediate lattice U = U(M), i.e. whose projection lies in
+    the subgroup M.
 
-    The constraint set splits, per element of M and per mod-2 kernel class
-    of the Gram matrix, into cosets of 2L; each piece is a plain coset
-    minimization.
+    With B = u.basis, χ = c·B is characteristic for L exactly when
+    (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by an element of
+    Λ = U ∩ 2L*, so the constraint set is the one coset c₀ + Λ; it is
+    searched once, in an LLL-reduced basis of Λ.
     """
-    lat = grp.lattice
     gram = lat.gram_rows()
     n = lat.rank
-    ginv = grp.gram_inverse
-    w0 = [gram[i][i] % 2 for i in range(n)]
-    gfrac = [[Fraction(x) for x in row] for row in gram]
-    best = None
-    for elem in m.elements:
-        cm = discgroup.lift(grp, elem)
-        wm = [int(x) for x in exactmat.mat_vec(gram, list(cm))]
-        rhs = [(a - b) % 2 for a, b in zip(w0, wm)]
-        sol = exactmat.solve_mod2(gram, rhs)
-        if sol is None:
-            continue
-        z0, kernel = sol
-        for combo in product((0, 1), repeat=len(kernel)):
-            z = list(z0)
-            for pick, k in zip(combo, kernel):
-                if pick:
-                    z = [x + y for x, y in zip(z, k)]
-            a_vec = [wi + sum(gram[i][j] * z[j] for j in range(n))
-                     for i, wi in enumerate(wm)]
-            t = [x / 2 for x in exactmat.mat_vec(ginv, a_vec)]
-            val, _, _ = coset_min(gfrac, t)
-            chi_sq = 4 * val
-            if best is None or chi_sq < best:
-                best = chi_sq
-    if best is None:
-        raise EmptyConstraintSet(
-            "no characteristic covector projects into the subgroup")
-    return (best - n) / 4
+    p = exactmat.matmul([list(r) for r in u.basis], gram)
+    if any(x.denominator != 1 for row in p for x in row):
+        raise NotInDualLattice("overlattice is not contained in L*")
+    sol = exactmat.solve_mod2([[int(x) for x in row]
+                               for row in exactmat.transpose(p)],
+                              [gram[i][i] for i in range(n)])
+    if sol is None:
+        # diag(G) ⊥ ker(G mod 2), so L ⊂ U holds characteristic vectors
+        raise InvariantViolation("no characteristic covector lies in U")
+    c0, kernel = sol
+    twice = exactmat.scale(exactmat.identity(n), 2)
+    rows = exactmat.hnf(kernel + twice)[0][:n]  # basis of Λ in U's basis
+    a = exactmat.matmul(exactmat.matmul(rows, [list(r) for r in u.gram]),
+                        exactmat.transpose(rows))
+    denom = lcm(*(x.denominator for row in a for x in row))
+    t, a = exactmat.lll_gram([[int(x * denom) for x in row] for row in a])
+    rinv = exactmat.inverse(exactmat.matmul(t, rows))
+    val, _, _ = coset_min(a, exactmat.mat_vec(exactmat.transpose(rinv), c0))
+    return (val / denom - n) / 4

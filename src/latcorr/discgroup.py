@@ -23,7 +23,6 @@ class DiscGroup:
     pairing: tuple  # k×k Fractions in [0, 1)
     generators: tuple = None  # dual-vector lifts, when lattice-derived
     lattice: object = field(default=None, repr=False)
-    gram_inverse: tuple = field(default=None, repr=False)  # of lattice.gram
     _proj_u: tuple = field(default=None, repr=False)
     _proj_divisors: tuple = field(default=None, repr=False)
 
@@ -105,7 +104,6 @@ def disc_group(lat):
         pairing=pairing,
         generators=tuple(gens),
         lattice=lat,
-        gram_inverse=tuple(tuple(row) for row in ginv),
         _proj_u=dec.u,
         _proj_divisors=divisors,
     )

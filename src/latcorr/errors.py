@@ -53,10 +53,6 @@ class GroupMismatch(LatcorrError):
     pass
 
 
-class EmptyConstraintSet(LatcorrError):
-    pass
-
-
 class InputError(LatcorrError):
     """Malformed input file or CLI argument."""
 

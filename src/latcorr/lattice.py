@@ -36,18 +36,6 @@ class Lattice:
         return [list(row) for row in self.gram]
 
 
-@dataclass(frozen=True)
-class CharCoset:
-    """The coset base + 2Λ of characteristic covectors.
-
-    base: rational coordinate vector; sublattice: basis rows of Λ in
-    lattice coordinates (here Λ is always the dual lattice).
-    """
-
-    base: tuple
-    sublattice: tuple
-
-
 def make_lattice(gram):
     """Build a Lattice from a symmetric nonsingular definite Gram matrix."""
     rows = (list, tuple)
@@ -60,13 +48,14 @@ def make_lattice(gram):
         raise InputError("Gram matrix entries must be integers")
     if not exactmat.is_symmetric(gram):
         raise InputError("Gram matrix must be symmetric")
+    # a definite form has the sign of its first diagonal entry
+    sign = -1 if gram[0][0] < 0 else 1
+    signed = [[sign * x for x in row] for row in gram]
+    if exactmat.is_positive_definite(signed):
+        return Lattice(gram=tuple(tuple(row) for row in signed),
+                       negated=sign < 0)
     if exactmat.det(gram) == 0:
         raise SingularForm("Gram matrix is singular")
-    if exactmat.is_positive_definite(gram):
-        return Lattice(gram=tuple(tuple(row) for row in gram), negated=False)
-    neg = [[-x for x in row] for row in gram]
-    if exactmat.is_positive_definite(neg):
-        return Lattice(gram=tuple(tuple(row) for row in neg), negated=True)
     raise IndefiniteForm("form is neither positive nor negative definite")
 
 
@@ -108,16 +97,3 @@ def is_characteristic(lat, chi):
     if any(x.denominator != 1 for x in w):
         raise NotInDualLattice("vector does not pair integrally with the lattice")
     return all((int(wi) - lat.gram[i][i]) % 2 == 0 for i, wi in enumerate(w))
-
-
-def characteristic_base(lat):
-    """A base point χ₀ with Char(L) = χ₀ + 2L*.
-
-    In dual coordinates the characteristic covectors are exactly the integer
-    vectors congruent to diag(gram) mod 2, so χ₀ = gram⁻¹·(diag mod 2) and
-    the coset sublattice is L* itself (basis rows gram⁻¹).
-    """
-    ginv = exactmat.inverse(lat.gram_rows())
-    w0 = [g % 2 for g in (row[i] for i, row in enumerate(lat.gram))]
-    base = tuple(exactmat.mat_vec(ginv, w0))
-    return CharCoset(base=base, sublattice=tuple(tuple(row) for row in ginv))

@@ -232,7 +232,7 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
     embeds = False
     for entry in corrterm.d_set(grp, cap=cap).entries:
         m, d_over = entry.metabolizer, entry.result.d
-        cmin = corrterm.constrained_min(grp, m)
+        cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
         tmin = min(values[e] for e in m.elements)
         failure = None
         if d_over > 0:

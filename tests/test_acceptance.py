@@ -191,8 +191,9 @@ def test_constrained_minimum_bounds_overlattice_term(capsys):
     for lat, disc, _ in suite:
         g = discgroup.disc_group(lat)
         for m in discgroup.metabolizers_of_group(g):
-            d_over = corrterm.min_char_square(build_overlattice(g, m)).d
-            cmin = corrterm.constrained_min(g, m)
+            u = build_overlattice(g, m)
+            d_over = corrterm.min_char_square(u).d
+            cmin = corrterm.constrained_min(lat, u)
             assert d_over >= cmin
             checked += 1
             if disc % 2 == 1 and d_over != cmin:

@@ -1,9 +1,10 @@
+import importlib
 import itertools
 import json
 
 import pytest
 
-from latcorr import cli, discgroup, exactmat, topo
+from latcorr import cli, corrterm, discgroup, exactmat, topo
 
 from conftest import DATA_DIR
 
@@ -236,6 +237,47 @@ def test_chain_inverts_the_filling_gram_once(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert len(payload["evidence"]) == n_mets
     assert len(calls) == 1
+
+
+def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,
+                                                      tmp_path):
+    # each constrained minimum is one search over its characteristic coset,
+    # on the U(M) that d_set built: 8 intermediate lattices in all, each
+    # built by overlattice._canonical (the package attribute `overlattice`
+    # is the function, hence the module lookup)
+    overlattice = importlib.import_module("latcorr.overlattice")
+    lat_file, table_file, n_mets = _diag3333_files(tmp_path)
+    builds, searches, inside = [], [], []
+    real_canonical = overlattice._canonical
+    real_coset_min = corrterm.coset_min
+    real_constrained_min = corrterm.constrained_min
+
+    def canonical(lat, rows):
+        builds.append(rows)
+        return real_canonical(lat, rows)
+
+    def coset_min(a, t):
+        if inside:
+            searches[-1] += 1
+        return real_coset_min(a, t)
+
+    def constrained_min(lat, u):
+        searches.append(0)
+        inside.append(u)
+        try:
+            return real_constrained_min(lat, u)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(overlattice, "_canonical", canonical)
+    monkeypatch.setattr(corrterm, "coset_min", coset_min)
+    monkeypatch.setattr(corrterm, "constrained_min", constrained_min)
+    code, payload = run_json(capsys, "topo", "chain", "--filling",
+                             str(lat_file), "--dtable", str(table_file))
+    assert code == 0
+    assert len(payload["evidence"]) == n_mets
+    assert searches == [1] * n_mets
+    assert len(builds) == n_mets
 
 
 @pytest.mark.parametrize("gram", [

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import floor, isqrt
 
 import pytest
 
 from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle)
-from latcorr.errors import InputError
+from latcorr.errors import InputError, NotInDualLattice
 from latcorr.overlattice import overlattice as build_overlattice
 
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
@@ -151,7 +152,7 @@ def test_constrained_min_nine():
     lat = lattice_mod.make_lattice([[9]])
     g = discgroup.disc_group(lat)
     m = discgroup.metabolizers_of_group(g)[0]
-    assert corrterm.constrained_min(g, m) == 0
+    assert corrterm.constrained_min(lat, build_overlattice(g, m)) == 0
 
 
 def test_constrained_min_matches_direct_scan():
@@ -168,7 +169,8 @@ def test_constrained_min_matches_direct_scan():
             continue
         sq = lattice_mod.pairing(lat, chi, chi)
         best = sq if best is None else min(best, sq)
-    assert corrterm.constrained_min(grp, m) == (best - 1) / 4
+    assert corrterm.constrained_min(lat, build_overlattice(grp, m)) == \
+        (best - 1) / 4
 
 
 def test_constrained_min_bounds_d_over(rng):
@@ -177,8 +179,9 @@ def test_constrained_min_bounds_d_over(rng):
         lat = lattice_mod.make_lattice(gram)
         grp = discgroup.disc_group(lat)
         for m in discgroup.metabolizers_of_group(grp):
-            d_over = corrterm.min_char_square(build_overlattice(grp, m)).d
-            cmin = corrterm.constrained_min(grp, m)
+            u = build_overlattice(grp, m)
+            d_over = corrterm.min_char_square(u).d
+            cmin = corrterm.constrained_min(lat, u)
             assert d_over >= cmin
 
 
@@ -190,7 +193,50 @@ def test_constrained_min_full_group():
     full = discgroup.make_subgroup(grp, set(grp.elements()))
     # [[4]] is even, so characteristic dual coordinates are even; w = 0 is
     # characteristic with square 0, hence (0 - 1)/4
-    assert corrterm.constrained_min(grp, full) == Fraction(-1, 4)
+    assert corrterm.constrained_min(lat, build_overlattice(grp, full)) == \
+        Fraction(-1, 4)
+
+
+def test_constrained_min_rejects_overlattice_outside_dual():
+    # U(M) of [[9]] has basis 1/3, which pairs to 4/3 against [[4]]
+    grp = discgroup.disc_group(lattice_mod.make_lattice([[9]]))
+    u = build_overlattice(grp, discgroup.metabolizers_of_group(grp)[0])
+    with pytest.raises(NotInDualLattice):
+        corrterm.constrained_min(lattice_mod.make_lattice([[4]]), u)
+
+
+def test_constrained_min_matches_coset_scan(rng):
+    # Char(L) = χ₀ + 2L* with χ₀ = G⁻¹·(diag G mod 2): in dual coordinates
+    # w = G·χ the characteristic covectors are the w ≡ diag G mod 2, and
+    # |w_i| ≤ √(χ²·G_ii) by Cauchy–Schwarz, so a box scan finds every χ up
+    # to the largest square the fast path returns
+    checked = 0
+    for _ in range(12):
+        gram = random_posdef_gram(rng, max_rank=4, max_disc=36)
+        lat = lattice_mod.make_lattice(gram)
+        grp = discgroup.disc_group(lat)
+        n = lat.rank
+        subgroups = oracle.brute_subgroups(grp)
+        fast = [corrterm.constrained_min(lat, build_overlattice(grp, m))
+                for m in subgroups]
+        bound = 4 * max(fast) + n
+        ginv = exactmat.inverse(gram)
+        box = []
+        for g in (gram[i][i] for i in range(n)):
+            r = isqrt(floor(bound * g))
+            box.append([w for w in range(-r, r + 1) if (w - g) % 2 == 0])
+        best = {}  # group element -> least scanned χ² in its class
+        for w in product(*box):
+            chi = exactmat.mat_vec(ginv, list(w))
+            sq = sum(x * y for x, y in zip(w, chi))
+            if sq <= bound:
+                e = discgroup.project(grp, chi)
+                best[e] = min(best.get(e, sq), sq)
+        for m, value in zip(subgroups, fast):
+            scan = min(best[e] for e in m.elements if e in best)
+            assert value == (scan - n) / 4
+            checked += 1
+    assert checked >= 90
 
 
 def _assert_witness(lat, basis, res):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcorr import lattice as lattice_mod
+from latcorr import exactmat, lattice as lattice_mod
 from latcorr.errors import (IndefiniteForm, InputError, NotInDualLattice,
                             SingularForm)
 
@@ -37,6 +37,29 @@ def test_make_lattice_rejections():
         lattice_mod.make_lattice([[1, 1], [1, 1]])
     with pytest.raises(IndefiniteForm):
         lattice_mod.make_lattice([[1, 0], [0, -1]])
+    with pytest.raises(IndefiniteForm):
+        lattice_mod.make_lattice([[0, 1], [1, 0]])
+    with pytest.raises(SingularForm):
+        lattice_mod.make_lattice([[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("gram", [[[9]], neg_one_a8_gram()],
+                         ids=["nine", "neg-one-a8"])
+def test_make_lattice_factors_once(monkeypatch, gram):
+    # one LDLᵀ of the form, signed by its first diagonal entry; the
+    # determinant is needed only to name the error for a form that is
+    # not definite
+    calls = {"rational_cholesky": 0, "det": 0}
+    for name in calls:
+        real = getattr(exactmat, name)
+
+        def counting(a, name=name, real=real):
+            calls[name] += 1
+            return real(a)
+
+        monkeypatch.setattr(exactmat, name, counting)
+    lattice_mod.make_lattice(gram)
+    assert calls == {"rational_cholesky": 1, "det": 0}
 
 
 def test_load_lattice(tmp_path):
@@ -78,20 +101,3 @@ def test_is_characteristic():
     assert not lattice_mod.is_characteristic(lat, (Fraction(2, 9),))
     with pytest.raises(NotInDualLattice):
         lattice_mod.is_characteristic(lat, (Fraction(1, 2),))
-
-
-def test_characteristic_base_is_characteristic():
-    for gram in ([[9]], a8_gram(), [[1, 0], [0, 3]]):
-        lat = lattice_mod.make_lattice(gram)
-        coset = lattice_mod.characteristic_base(lat)
-        assert lattice_mod.is_characteristic(lat, coset.base)
-        # shifting by twice any sublattice row stays characteristic
-        for row in coset.sublattice:
-            shifted = tuple(b + 2 * r for b, r in zip(coset.base, row))
-            assert lattice_mod.is_characteristic(lat, shifted)
-
-
-def test_characteristic_base_even_lattice_is_zero():
-    lat = lattice_mod.make_lattice(a8_gram())
-    coset = lattice_mod.characteristic_base(lat)
-    assert all(x == 0 for x in coset.base)
