@@ -81,20 +81,16 @@ def lam(g, x, y):
 def disc_group(lat):
     """The discriminant group of a lattice, in SNF coordinates.
 
-    Generators are dual vectors gram⁻¹·U⁻¹·e_i for the SNF decomposition
-    U·gram·V = D, restricted to elementary divisors > 1.
+    Generators are the dual vectors gram⁻¹·U⁻¹·e_i = V·D⁻¹·e_i for the SNF
+    decomposition U·gram·V = D, restricted to elementary divisors d_i > 1.
     """
     gram = lat.gram_rows()
     dec = exactmat.snf(gram)
     divisors = dec.divisors
     keep = [i for i, d in enumerate(divisors) if d > 1]
     orders = tuple(divisors[i] for i in keep)
-    ginv = exactmat.inverse(gram)
-    uinv = exactmat.inverse([list(r) for r in dec.u])
-    gens = []
-    for i in keep:
-        col = [uinv[r][i] for r in range(len(gram))]
-        gens.append(tuple(exactmat.mat_vec(ginv, col)))
+    gens = [tuple(Fraction(row[i], divisors[i]) for row in dec.v)
+            for i in keep]
     pairing = tuple(
         tuple((-lattice_mod.pairing(lat, gi, gj)) % 1 for gj in gens)
         for gi in gens
@@ -189,74 +185,56 @@ def _check_cap(g, cap):
             f"group order {g.order} exceeds the enumeration cap {cap}")
 
 
-def subgroups_of_order(g, m, cap=DEFAULT_GROUP_CAP):
-    """All subgroups of order m, canonically sorted, duplicate-free.
+def _subgroups(g, m, isotropic):
+    """All subgroups of order m, canonically sorted, duplicate-free; with
+    isotropic set, only those on which λ vanishes.
 
-    Brute force over generating combinations of elements whose order
-    divides m; intermediate closures prune on size.
+    Depth first over sequences of candidate generators: a step adds a
+    candidate outside the current subgroup (isotropic to the generators so
+    far, if asked; sufficient by bilinearity) and keeps the closure of the
+    generators while its order divides m.  `path` holds the open branch,
+    each subgroup with the next candidate to try.
     """
-    _check_cap(g, cap)
-    if m <= 0 or g.order % m != 0:
-        raise InputError(f"{m} does not divide the group order {g.order}")
     candidates = [x for x in g.elements()
-                  if x != g.identity and m % element_order(g, x) == 0]
+                  if x != g.identity and m % element_order(g, x) == 0
+                  and (not isotropic or lam(g, x, x) == 0)]
     found = set()
-
-    def extend(start, current):
+    path = [(0, {g.identity}, ())]
+    while path:
+        start, current, gens = path.pop()
         if len(current) == m:
             found.add(frozenset(current))
-            return
+            continue
         for i in range(start, len(candidates)):
             x = candidates[i]
-            if x in current:
+            if x in current or isotropic and any(
+                    lam(g, x, h) != 0 for h in gens):
                 continue
-            grown = closure(g, list(current | {x}))
-            if len(grown) <= m and m % len(grown) == 0:
-                extend(i + 1, grown)
-
-    extend(0, closure(g, []))
-    if m == 1:
-        found.add(frozenset({g.identity}))
+            grown = closure(g, gens + (x,))
+            if m % len(grown) == 0:
+                path.append((i + 1, current, gens))
+                path.append((i + 1, grown, gens + (x,)))
+                break
     return sorted((make_subgroup(g, s) for s in found),
                   key=lambda sg: sg.elements)
 
 
-def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
-    """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0.
+def subgroups_of_order(g, m, cap=DEFAULT_GROUP_CAP):
+    """All subgroups of order m, canonically sorted, duplicate-free."""
+    _check_cap(g, cap)
+    if m <= 0 or g.order % m != 0:
+        raise InputError(f"{m} does not divide the group order {g.order}")
+    return _subgroups(g, m, isotropic=False)
 
-    Enumeration extends only by elements isotropic to the current generators
-    (sufficient by bilinearity), so every recorded subgroup is metabolizing
-    by construction.
-    """
+
+def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
+    """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0."""
     _check_cap(g, cap)
     n = g.order
     m = isqrt(n)
     if m * m != n:
         return []
-    if m == 1:
-        return [make_subgroup(g, {g.identity})]
-    candidates = [x for x in g.elements()
-                  if x != g.identity and m % element_order(g, x) == 0
-                  and lam(g, x, x) == 0]
-    found = set()
-
-    def extend(start, current, gens):
-        if len(current) == m:
-            found.add(frozenset(current))
-            return
-        for i in range(start, len(candidates)):
-            x = candidates[i]
-            if x in current:
-                continue
-            if any(lam(g, x, h) != 0 for h in gens):
-                continue
-            grown = closure(g, gens + [x])
-            if len(grown) <= m and m % len(grown) == 0:
-                extend(i + 1, grown, gens + [x])
-
-    extend(0, closure(g, []), [])
-    return sorted((make_subgroup(g, s) for s in found),
-                  key=lambda sg: sg.elements)
+    return _subgroups(g, m, isotropic=True)
 
 
 def annihilator(g, h):

@@ -4,15 +4,17 @@
 Heegaard Floer d-invariants are ingested as data files, never computed; a
 table keys exact rational values by discriminant-group elements (the
 Poincaré duals of first Chern classes).  When |H₁| is even that keying is
-not a bijection, so every verdict on such input carries an explicit caveat
-and is reported as inconclusive rather than trusted.
+not a bijection: the ball obstruction is then inconclusive, the filling
+obstruction is inconclusive when it fires and carries a caveat otherwise,
+and `chain_check` does not yet take the parity into account.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 
-from . import corrterm, discgroup, lattice as lattice_mod
+from . import corrterm, discgroup, exactmat, lattice as lattice_mod
 from .errors import GroupMismatch, IncompleteTable, InputError
 
 EVEN_ORDER_CAVEAT = (
@@ -66,6 +68,8 @@ class ObstructionReport:
 
 
 def _parse_rational(s):
+    if type(s) not in (str, int):  # a float is rounded, a bool no number
+        raise InputError(f"bad rational value {s!r}: not a string or int")
     try:
         return Fraction(s)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -78,6 +82,16 @@ def _expect(value, kind, what):
         raise InputError(f"d-table {what} must be a JSON {kind.__name__}, "
                          f"got {value!r}")
     return value
+
+
+def _check_nondegenerate(orders, pairing):
+    """Reject a pairing that is not a linking form, without enumerating G:
+    with N the largest order, x ↦ λ(x, ·) has ∏ N/gcd(N, s_i) values over
+    the Smith divisors s_i of N·pairing, and that must be |G|."""
+    n = max(orders, default=1)
+    dec = exactmat.snf([[int(n * x) for x in row] for row in pairing])
+    if prod(n // gcd(n, s) for s in dec.divisors) != prod(orders):
+        raise InputError("d-table pairing is degenerate: not a linking form")
 
 
 def load_dtable(path):
@@ -96,6 +110,7 @@ def load_dtable(path):
     pairing = tuple(tuple(_parse_rational(x) for x in _expect(row, list, "row"))
                     for row in _expect(obj["pairing"], list, "pairing"))
     discgroup.group_from_table(orders, pairing)  # validates
+    _check_nondegenerate(orders, pairing)
     values = {}
     for rec in _expect(obj["d"], list, "'d'"):
         if "elem" not in _expect(rec, dict, "record") or "value" not in rec:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcorr import discgroup, lattice as lattice_mod
+from latcorr import discgroup, exactmat, lattice as lattice_mod
 from latcorr.errors import GroupTooLarge, InputError, NotInDualLattice
 
 from conftest import a8_gram, d4_gram, random_posdef_gram
@@ -28,6 +28,20 @@ def test_disc_group_unimodular_is_trivial():
     assert g.orders == ()
     assert g.order == 1
     assert list(g.elements()) == [()]
+
+
+def test_disc_group_generators_are_dual_lifts(rng):
+    # generator i is gram⁻¹·U⁻¹·e_i for the Smith form U·gram·V = D
+    for _ in range(20):
+        gram = random_posdef_gram(rng, max_rank=5, max_disc=200)
+        g = discgroup.disc_group(lattice_mod.make_lattice(gram))
+        dec = exactmat.snf(gram)
+        ginv = exactmat.inverse(gram)
+        uinv = exactmat.inverse([list(r) for r in dec.u])
+        expect = tuple(
+            tuple(exactmat.mat_vec(ginv, [row[i] for row in uinv]))
+            for i, d in enumerate(dec.divisors) if d > 1)
+        assert g.generators == expect
 
 
 def test_group_arithmetic():
@@ -169,6 +183,22 @@ def test_metabolizers_isotropy():
         for x in m.elements:
             for y in m.elements:
                 assert discgroup.lam(g, x, y) == 0
+
+
+def test_metabolizers_of_three_generators():
+    # (Z/2)⁶ with λ = diag(1/2): the metabolizers are the self-dual binary
+    # codes of length 6, (2 + 1)(4 + 1) = 15 of them, each needing three
+    # generators, so every new generator must be checked against all
+    # earlier ones
+    g = discgroup.group_from_table(
+        (2,) * 6, [["1/2" if i == j else "0" for j in range(6)]
+                   for i in range(6)])
+    mets = discgroup.metabolizers_of_group(g)
+    assert len(mets) == 15
+    for m in mets:
+        assert len(m.generators) == 3
+        assert all(discgroup.lam(g, x, y) == 0
+                   for x in m.elements for y in m.elements)
 
 
 def test_metabolizer_cap():

@@ -86,10 +86,31 @@ def test_brute_subgroups_cap():
         oracle.brute_subgroups(g)
 
 
-def test_brute_subgroups_match_subgroups_of_order(rng):
-    for _ in range(4):
-        lat = lattice_mod.make_lattice(random_posdef_gram(rng, max_disc=9))
+def _oracle_groups(rng):
+    """Seeded lattice groups with |G| ≤ 36, four of them of order 16 or 25,
+    and table groups, among them even, non-homogeneous and
+    hyperbolic ones."""
+    groups = [discgroup.disc_group(lattice_mod.make_lattice(
+        random_posdef_gram(rng, max_disc=9))) for _ in range(4)]
+    while len(groups) < 8:
+        lat = lattice_mod.make_lattice(random_posdef_gram(rng, max_disc=36))
         g = discgroup.disc_group(lat)
+        if g.order in (16, 25):
+            groups.append(g)
+    for orders, pairing in [
+            ((2, 4), [["1/2", "0"], ["0", "1/4"]]),
+            ((2, 8), [["1/2", "0"], ["0", "1/8"]]),
+            ((2, 2), [["0", "1/2"], ["1/2", "0"]]),
+            ((4, 4), [["0", "1/4"], ["1/4", "0"]]),
+            ((2, 2, 2, 2), [["0", "1/2", "0", "0"], ["1/2", "0", "0", "0"],
+                            ["0", "0", "1/2", "0"], ["0", "0", "0", "1/2"]])]:
+        groups.append(discgroup.group_from_table(orders, pairing))
+    return groups
+
+
+def test_brute_subgroups_match_subgroups_of_order(rng):
+    n_mets = 0
+    for g in _oracle_groups(rng):
         subs = oracle.brute_subgroups(g)
         by_order = {}
         for s in subs:
@@ -97,6 +118,13 @@ def test_brute_subgroups_match_subgroups_of_order(rng):
         for order, got in by_order.items():
             expect = discgroup.subgroups_of_order(g, order)
             assert [s.elements for s in got] == [s.elements for s in expect]
+        isotropic = [s.elements for s in subs if s.order ** 2 == g.order
+                     and all(discgroup.lam(g, x, y) == 0
+                             for x in s.elements for y in s.elements)]
+        got = [m.elements for m in discgroup.metabolizers_of_group(g)]
+        assert got == isotropic
+        n_mets += len(got)
+    assert n_mets > 10
 
 
 def test_is_standard():
