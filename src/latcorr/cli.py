@@ -8,6 +8,7 @@ Errors print a single machine-parsable line: "error: <CODE>: <message>".
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -262,11 +263,30 @@ def run(argv):
     return code
 
 
+def _discard_stdout():
+    """Point the standard output descriptor at the null device, so that the
+    interpreter's last flush of a closed pipe does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor in-process
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
     except LatcorrError as e:
         sys.stderr.write(f"error: {e.code}: {e}\n")
+        return 1
+    except BrokenPipeError:  # the reader closed standard output early
+        _discard_stdout()
+        sys.stderr.write("error: BrokenPipeError: standard output closed "
+                         "before the result was written\n")
         return 1
 
 

@@ -1,20 +1,23 @@
 """Lattice correction terms by exact characteristic-coset minimization.
 
 The kernel minimizes (u+t)ᵀA(u+t) over integer vectors u for a positive
-definite rational A, by depth-first branch and bound over the LDLᵀ
-factorization.  All arithmetic is exact; the incumbent bound starts from a
-greedy coordinate rounding, so pruning decisions never need re-checking.
-`min_char_square` first LLL-reduces the basis and splits off the vectors of
-square 1, so the search only sees the part of the lattice without them;
-`constrained_min` searches its one characteristic coset in a reduced basis.
+definite A, by depth-first branch and bound over the fraction-free LDLᵀ
+factorization, with the form scaled so that every centre, term and bound
+is an integer.  The incumbent bound starts from a greedy coordinate
+rounding, so pruning decisions never need re-checking.  `min_char_square`
+first LLL-reduces the basis and splits off the vectors of square 1, so the
+search only sees the part of the lattice without them; `constrained_min`
+searches its one characteristic coset in a reduced basis.  Both work on
+integer Gram matrices and on integer basis rows over one denominator.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import gcd, lcm
+from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import (OverLattice, int_gram, is_unimodular,
+from .overlattice import (OverLattice, int_gram, integer_rows, is_unimodular,
                           overlattice as build_overlattice)
 from .errors import InputError, InvariantViolation, NotInDualLattice
 from .lattice import Lattice
@@ -45,30 +48,46 @@ class DSet:
     contains_zero: bool
 
 
-def _nearest(x):
-    return floor(x + Fraction(1, 2))
-
-
 def coset_min(a, t):
     """Exact min of (u+t)ᵀ·A·(u+t) over u ∈ Zⁿ, with a minimizing u.
 
-    Returns (value, u, nodes).  Coordinates are fixed from the last index
-    down; each level enumerates candidates outward from the real center and
-    prunes once the partial sum reaches the incumbent.
+    A is positive definite with int or Fraction entries, and t holds ints
+    or Fractions.  Returns (value, u, nodes) with value a Fraction.
+    Coordinates are fixed from the last index down; each level enumerates
+    candidates outward from the real centre and prunes once the partial
+    sum reaches the incumbent.
+
+    The search runs on integers only.  A rational A is scaled to integers
+    once and factored by the fraction-free `exactmat.ldl`; with q the
+    common denominator of t, the form is scaled by q²·lcm(d_i·d_{i+1}),
+    so that centres, terms and the incumbent are all integers.  The value
+    is divided back once, on return.
     """
     n = len(t)
-    lo, dd = exactmat.rational_cholesky(a)
-    t = [Fraction(x) for x in t]
-    s = [Fraction(0)] * n  # s[j] = u[j] + t[j] for fixed levels
+    den_a = lcm(1, *(x.denominator for row in a for x in row))
+    d, lam = exactmat.ldl([[x.numerator * (den_a // x.denominator)
+                            for x in row] for row in a])
+    q = lcm(1, *(x.denominator for x in t))
+    tq = [x.numerator * (q // x.denominator) for x in t]  # q·t
+    scale = lcm(1, *(d[i] * d[i + 1] for i in range(n)))
+    # at level i, with C = q·d_{i+1}·c the scaled centre offset, the
+    # scaled term is w[i]·(e[i]·u_i + C)²
+    w = [scale // (d[i] * d[i + 1]) for i in range(n)]
+    e = [q * d[i + 1] for i in range(n)]
+    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    s = [0] * n  # s[j] = q·(u[j] + t[j]) for fixed levels
     u = [0] * n
 
+    def centre(i):
+        return d[i + 1] * tq[i] + sum(map(mul, cols[i], s[i + 1:]))
+
     # greedy rounding for the initial incumbent
-    best_val = Fraction(0)
+    best_val = 0
     for i in reversed(range(n)):
-        c = t[i] + sum(lo[j][i] * s[j] for j in range(i + 1, n))
-        u[i] = _nearest(-c)
-        s[i] = u[i] + t[i]
-        best_val += dd[i] * (u[i] + c) ** 2
+        c = centre(i)
+        u[i] = (e[i] - 2 * c) // (2 * e[i])  # nearest integer to −c/e[i]
+        s[i] = q * u[i] + tq[i]
+        best_val += w[i] * (e[i] * u[i] + c) ** 2
     best_u = list(u)
     nodes = n
 
@@ -79,38 +98,37 @@ def coset_min(a, t):
                 best_val = partial
                 best_u = list(u)
             return
-        c = t[i] + sum(lo[j][i] * s[j] for j in range(i + 1, n))
-        start = _nearest(-c)
+        c = centre(i)
+        ei, wi = e[i], w[i]
+        start = (ei - 2 * c) // (2 * ei)
         for first, step in ((start, -1), (start + 1, 1)):
             ui = first
             while True:
                 nodes += 1
-                term = dd[i] * (ui + c) ** 2
+                term = wi * (ei * ui + c) ** 2
                 if partial + term >= best_val:
                     break
                 u[i] = ui
-                s[i] = ui + t[i]
+                s[i] = q * ui + tq[i]
                 dfs(i - 1, partial + term)
                 ui += step
 
-    dfs(n - 1, Fraction(0))
-    return best_val, tuple(best_u), nodes
+    dfs(n - 1, 0)
+    return Fraction(best_val, q * q * scale * den_a), tuple(best_u), nodes
 
 
 def _unimodular_gram(obj):
-    """(int Gram, basis rows in L-coords) for a unimodular positive definite
-    lattice or overlattice."""
+    """(int Gram, int basis rows H, denominator e) for a unimodular positive
+    definite lattice or overlattice; its basis in L-coords is H/e."""
     if isinstance(obj, Lattice):
-        n = obj.rank
-        basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         gram = obj.gram_rows()
         if abs(exactmat.det(gram)) != 1:
             raise InputError("correction term requires a unimodular lattice")
-        return gram, basis
+        return gram, exactmat.identity(obj.rank), 1
     if isinstance(obj, OverLattice):
         if not is_unimodular(obj):
             raise InputError("correction term requires a unimodular overlattice")
-        return int_gram(obj), [list(r) for r in obj.basis]
+        return (int_gram(obj),) + integer_rows(obj.basis)
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
@@ -123,7 +141,7 @@ def min_char_square(obj):
     attained at v.  Reduction and splitting repeat until no basis vector
     of square 1 is left; only that rest goes to the branch and bound.
     """
-    gram, basis = _unimodular_gram(obj)
+    gram, basis, denom = _unimodular_gram(obj)
     n = len(gram)
     rows = exactmat.identity(n)  # basis of the rest, in obj's basis
     chi = [0] * n  # the witness in obj's basis
@@ -155,8 +173,8 @@ def min_char_square(obj):
         minimum += int(4 * val)
         for xi, ui, row in zip(x0, u, rows):
             chi = [x + (xi + 2 * ui) * y for x, y in zip(chi, row)]
-    witness = [sum(x * basis[k][j] for k, x in enumerate(chi))
-               for j in range(n)]
+    witness = [Fraction(x, denom) for x in exactmat.mat_vec(
+        exactmat.transpose(basis), chi)]
     return MinimizationResult(minimum=minimum, witness=tuple(witness),
                               nodes_visited=nodes)
 
@@ -189,10 +207,11 @@ def constrained_min(lat, u):
     """
     gram = lat.gram_rows()
     n = lat.rank
-    p = exactmat.matmul([list(r) for r in u.basis], gram)
-    if any(x.denominator != 1 for row in p for x in row):
+    h, e = integer_rows(u.basis)  # B = h/e
+    p = exactmat.matmul(h, gram)  # e·B·G_L
+    if any(x % e for row in p for x in row):
         raise NotInDualLattice("overlattice is not contained in L*")
-    sol = exactmat.solve_mod2([[int(x) for x in row]
+    sol = exactmat.solve_mod2([[x // e for x in row]
                                for row in exactmat.transpose(p)],
                               [gram[i][i] for i in range(n)])
     if sol is None:
@@ -201,10 +220,12 @@ def constrained_min(lat, u):
     c0, kernel = sol
     twice = exactmat.scale(exactmat.identity(n), 2)
     rows = exactmat.hnf(kernel + twice)[0][:n]  # basis of Λ in U's basis
-    a = exactmat.matmul(exactmat.matmul(rows, [list(r) for r in u.gram]),
-                        exactmat.transpose(rows))
-    denom = lcm(*(x.denominator for row in a for x in row))
-    t, a = exactmat.lll_gram([[int(x * denom) for x in row] for row in a])
+    r = exactmat.matmul(rows, h)  # e·(basis of Λ in L-coords)
+    a = exactmat.matmul(exactmat.matmul(r, gram), exactmat.transpose(r))
+    # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
+    g = gcd(e * e, *(x for row in a for x in row))
+    denom = e * e // g
+    t, a = exactmat.lll_gram([[x // g for x in row] for row in a])
     rinv = exactmat.inverse(exactmat.matmul(t, rows))
     val, _, _ = coset_min(a, exactmat.mat_vec(exactmat.transpose(rinv), c0))
     return (val / denom - n) / 4

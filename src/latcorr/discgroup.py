@@ -89,11 +89,14 @@ def disc_group(lat):
     divisors = dec.divisors
     keep = [i for i, d in enumerate(divisors) if d > 1]
     orders = tuple(divisors[i] for i in keep)
-    gens = [tuple(Fraction(row[i], divisors[i]) for row in dec.v)
-            for i in keep]
+    cols = [[row[i] for row in dec.v] for i in keep]  # Vᵀ, kept rows
+    gens = [tuple(Fraction(x, d) for x in col) for col, d in zip(cols, orders)]
+    # λ(g_i, g_j) = −(Vᵀ·G·V)_ij/(d_i·d_j) mod 1, from integer columns
+    vgv = exactmat.matmul(exactmat.matmul(cols, gram),
+                          exactmat.transpose(cols))
     pairing = tuple(
-        tuple((-lattice_mod.pairing(lat, gi, gj)) % 1 for gj in gens)
-        for gi in gens
+        tuple(Fraction(-x % (di * dj), di * dj) for x, dj in zip(row, orders))
+        for row, di in zip(vgv, orders)
     )
     return DiscGroup(
         orders=orders,

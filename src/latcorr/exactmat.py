@@ -1,8 +1,12 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Matrices are plain lists of lists; integer matrices hold Python ints
-(arbitrary precision), rational matrices hold fractions.Fraction.  No
-floating point appears anywhere in this module.
+Matrices are plain lists of lists of Python ints (arbitrary precision).
+Factorizations are fraction-free: `ldl` and `lll_gram` carry leading minors
+and scaled Gram–Schmidt coefficients as integers, `det` is Bareiss
+elimination, and `hnf`/`snf` are unimodular row and column operations.  Only
+`inverse` and `rational_cholesky` return fractions.Fraction; the second is
+kept as the oracles' independent LDLᵀ reference.  No floating point appears
+anywhere in this module.
 """
 
 from dataclasses import dataclass
@@ -241,12 +245,50 @@ def snf(a):
     )
 
 
+def _extend(g, d, lam, k):
+    """Fraction-free Gram–Schmidt step for row k of the Gram matrix g
+    (Cohen, GTM 138, Alg. 2.6.7), given rows 0..k-1: sets lam[k][j] =
+    d[j+1]·μ_kj for j < k and d[k+1], the (k+1)-th leading minor.  Every
+    division is exact.  Raises NotPositiveDefinite when that minor is not
+    positive."""
+    for j in range(k + 1):
+        u = g[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u <= 0:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        else:
+            d[k + 1] = u
+
+
+def ldl(g):
+    """Fraction-free LDLᵀ of a symmetric integer matrix.
+
+    Returns (d, lam): d[k] is the k-th leading minor (d[0] = 1) and
+    lam[i][j] = d[j+1]·L[i][j] for j < i, where G = L·diag(D)·Lᵀ with L
+    unit lower triangular and D[k] = d[k+1]/d[k].  Integers only.  Raises
+    NotPositiveDefinite when some minor is ≤ 0, which by Sylvester's
+    criterion happens exactly when G is not positive definite.
+    """
+    if not is_symmetric(g):
+        raise ValueError("LDL^T requires a symmetric matrix")
+    n = len(g)
+    d = [1] + [0] * n
+    lam = zeros(n, n)
+    for k in range(n):
+        _extend(g, d, lam, k)
+    return d, lam
+
+
 def rational_cholesky(g):
     """Square-root-free LDLᵀ factorization of a symmetric rational matrix.
 
     Returns (L, D) with L unit lower triangular (Fractions), D a list of
     positive Fractions, and L·diag(D)·Lᵀ = G.  Raises NotPositiveDefinite
-    when G is indefinite or semidefinite.
+    when G is indefinite or semidefinite.  The library factors through
+    `ldl`; this Fraction version is the oracles' independent reference.
     """
     if not is_symmetric(g):
         raise ValueError("LDL^T requires a symmetric matrix")
@@ -305,25 +347,13 @@ def lll_gram(gram):
             lam[i][k - 1] = (b * old + mu * lam[i][k]) // d[k + 1]
         d[k] = b
 
-    def extend(k):  # Gram–Schmidt data of a vector not seen before
-        for j in range(k + 1):
-            u = g[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            elif u <= 0:
-                raise NotPositiveDefinite("matrix is not positive definite")
-            else:
-                d[k + 1] = u
-
     if n:
-        extend(0)
+        _extend(g, d, lam, 0)
     k, kmax = 1, 0
     while k < n:
         if k > kmax:
             kmax = k
-            extend(k)
+            _extend(g, d, lam, k)
         red(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             swap(k)
@@ -337,7 +367,7 @@ def lll_gram(gram):
 
 def is_positive_definite(g):
     try:
-        rational_cholesky(g)
+        ldl(g)
         return True
     except NotPositiveDefinite:
         return False

@@ -48,7 +48,8 @@ def make_lattice(gram):
         raise InputError("Gram matrix entries must be integers")
     if not exactmat.is_symmetric(gram):
         raise InputError("Gram matrix must be symmetric")
-    # a definite form has the sign of its first diagonal entry
+    # a definite form has the sign of its first diagonal entry; the signed
+    # form is positive definite iff its leading minors are positive
     sign = -1 if gram[0][0] < 0 else 1
     signed = [[sign * x for x in row] for row in gram]
     if exactmat.is_positive_definite(signed):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import discgroup, exactmat
+from . import exactmat
 from .errors import InvariantViolation, NotIntegral
 
 
@@ -22,36 +22,48 @@ class OverLattice:
     index: int    # [L' : L]
 
 
-def _canonical(lat, rows):
-    """Canonical overlattice from spanning rows (rational, in L-coords)."""
+def integer_rows(rows):
+    """(H, e) with rows = H/e for int or Fraction rows, e the least common
+    denominator."""
+    e = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (e // x.denominator) for x in row]
+            for row in rows], e
+
+
+def _canonical(lat, rows, denom):
+    """Canonical overlattice spanned by rows/denom (int rows, in L-coords).
+
+    The basis is H/denom for the HNF H of the rows, and its Gram matrix is
+    the integer product H·G_L·Hᵀ, divided once by denom²."""
     n = lat.rank
-    denom = lcm(*[x.denominator for row in rows for x in row], 1)
-    int_rows = [[int(x * denom) for x in row] for row in rows]
-    h, _ = exactmat.hnf(int_rows)
-    basis = [[Fraction(x, denom) for x in h[i]] for i in range(n)]
-    d = Fraction(1)
+    h = exactmat.hnf(rows)[0][:n]
+    pivots = 1
     for i in range(n):
-        d *= basis[i][i]
-    index = Fraction(1) / abs(d)
-    if index.denominator != 1:
+        pivots *= h[i][i]
+    if pivots == 0 or denom ** n % pivots != 0:
         raise InvariantViolation("spanning rows do not contain the lattice")
-    g = lat.gram_rows()
-    gram = exactmat.matmul(exactmat.matmul(basis, g), exactmat.transpose(basis))
+    gram = exactmat.matmul(exactmat.matmul(h, lat.gram_rows()),
+                           exactmat.transpose(h))
+    d2 = denom * denom
     return OverLattice(
-        basis=tuple(tuple(row) for row in basis),
-        gram=tuple(tuple(Fraction(x) for x in row) for row in gram),
-        index=int(index),
+        basis=tuple(tuple(Fraction(x, denom) for x in row) for row in h),
+        gram=tuple(tuple(Fraction(x, d2) for x in row) for row in gram),
+        index=denom ** n // pivots,
     )
 
 
 def overlattice(grp, m):
     """U(M) = π⁻¹(M) for a subgroup M of a lattice-derived group grp."""
-    lat = grp.lattice
-    n = lat.rank
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for gen in m.generators:
-        rows.append(list(discgroup.lift(grp, gen)))
-    return _canonical(lat, rows)
+    n = grp.lattice.rank
+    # the lift of an element lies in (1/e)·L for the exponent e of the group
+    e = grp.orders[-1] if grp.orders else 1
+    lifts = [[x.numerator * (e // x.denominator) for x in gen]
+             for gen in grp.generators]
+    rows = [[e * (i == j) for j in range(n)] for i in range(n)]
+    for x in m.generators:
+        rows.append([sum(a * v[j] for a, v in zip(x, lifts))
+                     for j in range(n)])
+    return _canonical(grp.lattice, rows, e)
 
 
 def is_integral(u):
@@ -82,7 +94,7 @@ def dual_of(lat, u):
         raise NotIntegral("dual of an overlattice requires an integral form")
     ginv = exactmat.inverse([list(r) for r in u.gram])
     rows = exactmat.matmul(ginv, [list(r) for r in u.basis])
-    return _canonical(lat, rows)
+    return _canonical(lat, *integer_rows(rows))
 
 
 def index_check(lat, u):

@@ -1,6 +1,9 @@
 import importlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +163,32 @@ def test_bad_flag_values(capsys):
     assert "threads" in err
 
 
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_ends_in_one_error_line(buffered, fmt):
+    # the reader of the pipe is gone before anything is written, as with
+    # `| head -3` on a long output: a buffered stdout fails on the final
+    # flush, an unbuffered one on the first write; neither may leave a
+    # traceback
+    env = dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable] + ([] if buffered else ["-u"]) + [
+        "-m", "latcorr.cli", "topo", "chain",
+        "--filling", str(DATA_DIR / "nine.json"),
+        "--dtable", str(DATA_DIR / "s39_t23.json"), "--format", fmt]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: BrokenPipeError: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_unknown_command(capsys):
     code, _, err = run_cli(capsys, "lattice", "frobnicate", "x.json")
     assert code == 1
@@ -253,9 +282,9 @@ def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,
     real_coset_min = corrterm.coset_min
     real_constrained_min = corrterm.constrained_min
 
-    def canonical(lat, rows):
+    def canonical(lat, rows, denom):
         builds.append(rows)
-        return real_canonical(lat, rows)
+        return real_canonical(lat, rows, denom)
 
     def coset_min(a, t):
         if inside:

@@ -296,3 +296,169 @@ def test_conjugate_of_i16_needs_no_search():
     res = corrterm.min_char_square(lattice_mod.make_lattice(gram))
     assert res.minimum == 16 and res.d == 0
     assert res.nodes_visited == 0
+
+
+def _quad(a, s):
+    return sum(s[i] * a[i][j] * s[j] for i in range(len(s)) for j in range(len(s)))
+
+
+def _random_rational_form(rng, n):
+    """A random positive definite A with Fraction entries, and a random
+    rational shift t."""
+    while True:
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if exactmat.det(b):
+            break
+    den = rng.randint(1, 6)
+    a = [[Fraction(x, den) for x in row]
+         for row in exactmat.matmul(b, exactmat.transpose(b))]
+    t = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
+    return a, t
+
+
+def test_coset_min_matches_grid_scan_on_rational_forms():
+    # every u with (u+t)ᵀA(u+t) ≤ V has |u_i + t_i|² ≤ V·(A⁻¹)_ii, so a box
+    # of that size around −t, with V the value at the rounded −t, holds the
+    # minimum
+    rng = random.Random(51)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a, t = _random_rational_form(rng, n)
+        val, u, _ = corrterm.coset_min(a, t)
+        assert type(val) is Fraction
+        assert val == _quad(a, [u[i] + t[i] for i in range(n)])
+        v = _quad(a, [floor(-x + Fraction(1, 2)) + x for x in t])
+        ainv = exactmat.inverse(a)
+        ranges = []
+        for i in range(n):
+            r = isqrt(-(-v * ainv[i][i] // 1)) + 1
+            ranges.append(range(floor(-t[i]) - r, floor(-t[i]) + r + 2))
+        best = min(_quad(a, [x + y for x, y in zip(w, t)])
+                   for w in product(*ranges))
+        assert val == best
+
+
+def _fraction_coset_min(a, t):
+    """The branch and bound over Fractions and the Fraction LDLᵀ: the same
+    search order and pruning as `coset_min`, as an independent reference
+    for its values, witnesses and node counts."""
+    n = len(t)
+    lo, dd = exactmat.rational_cholesky(a)
+    t = [Fraction(x) for x in t]
+    s = [Fraction(0)] * n
+    u = [0] * n
+    best = [Fraction(0), None, n]
+    for i in reversed(range(n)):
+        c = t[i] + sum(lo[j][i] * s[j] for j in range(i + 1, n))
+        u[i] = floor(-c + Fraction(1, 2))
+        s[i] = u[i] + t[i]
+        best[0] += dd[i] * (u[i] + c) ** 2
+    best[1] = tuple(u)
+
+    def dfs(i, partial):
+        if i < 0:
+            if partial < best[0]:
+                best[0], best[1] = partial, tuple(u)
+            return
+        c = t[i] + sum(lo[j][i] * s[j] for j in range(i + 1, n))
+        start = floor(-c + Fraction(1, 2))
+        for first, step in ((start, -1), (start + 1, 1)):
+            ui = first
+            while True:
+                best[2] += 1
+                term = dd[i] * (ui + c) ** 2
+                if partial + term >= best[0]:
+                    break
+                u[i], s[i] = ui, ui + t[i]
+                dfs(i - 1, partial + term)
+                ui += step
+
+    dfs(n - 1, Fraction(0))
+    return tuple(best)
+
+
+def test_coset_min_visits_the_same_nodes_as_the_fraction_search(rng):
+    # the integer search scales the form, so it must take every pruning
+    # decision the Fraction search takes: same value, witness and nodes
+    cases = [_random_rational_form(rng, rng.randint(1, 6)) for _ in range(30)]
+    for gram in _unimodular_cases(rng):
+        x0, _ = exactmat.solve_mod2(gram, [gram[i][i] for i in range(len(gram))])
+        cases.append((gram, [Fraction(x, 2) for x in x0]))
+    nodes = 0
+    for a, t in cases:
+        expect = _fraction_coset_min(a, t)
+        assert corrterm.coset_min(a, t) == expect
+        nodes += expect[2]
+    assert nodes > 1000
+
+
+def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
+    # brute force inside U itself: χ = c·B runs over a box of coordinates
+    # c in the basis B of U, large enough by |c_i|² ≤ χ²·(G_U⁻¹)_ii to hold
+    # every χ up to the square the fast path returns; χ must be
+    # characteristic for L
+    checked = 0
+    for _ in range(8):
+        lat = lattice_mod.make_lattice(
+            random_posdef_gram(rng, max_rank=3, max_disc=12))
+        grp = discgroup.disc_group(lat)
+        n = lat.rank
+        for m in oracle.brute_subgroups(grp):
+            u = build_overlattice(grp, m)
+            fast = corrterm.constrained_min(lat, u)
+            bound = 4 * fast + n
+            ginv = exactmat.inverse([list(r) for r in u.gram])
+            box = [range(-r, r + 1) for r in
+                   (isqrt(floor(bound * ginv[i][i])) + 1 for i in range(n))]
+            best = None
+            for c in product(*box):
+                chi = tuple(sum(ci * row[j] for ci, row in zip(c, u.basis))
+                            for j in range(n))
+                if lattice_mod.is_characteristic(lat, chi):
+                    sq = lattice_mod.pairing(lat, chi, chi)
+                    best = sq if best is None else min(best, sq)
+            assert fast == (best - n) / 4
+            checked += 1
+    assert checked >= 15
+
+
+def _direct_sum(g1, g2):
+    n1, n2 = len(g1), len(g2)
+    return [list(row) + [0] * n2 for row in g1] + \
+        [[0] * n1 + list(row) for row in g2]
+
+
+def test_min_char_square_is_additive(rng):
+    # d(L₁ ⊕ L₂) = d(L₁) + d(L₂), also after a change of basis of the sum;
+    # the summands are conjugates of Iₙ, E8 ⊕ I_k and unimodular U(M)
+    grams = list(_unimodular_cases(rng))
+    while len(grams) < 16:
+        lat = lattice_mod.make_lattice(random_posdef_gram(rng))
+        grp = discgroup.disc_group(lat)
+        for m in discgroup.metabolizers_of_group(grp):
+            grams.append([[int(x) for x in row]
+                          for row in build_overlattice(grp, m).gram])
+
+    def d(gram):
+        return corrterm.min_char_square(lattice_mod.make_lattice(gram)).d
+
+    for _ in range(12):
+        g1, g2 = rng.sample(grams, 2)
+        total = _direct_sum(g1, g2)
+        conj = basis_change(total, random_unimodular(rng, len(total), ops=30))
+        assert d(total) == d(conj) == d(g1) + d(g2)
+
+
+def test_d_set_is_basis_independent(rng):
+    # the d-set and its verdict belong to the lattice, not to its basis
+    nonempty = 0
+    for _ in range(25):
+        gram = random_posdef_gram(rng, max_rank=4, max_disc=36)
+        conj = basis_change(gram, random_unimodular(rng, len(gram), ops=12))
+        sets = [corrterm.d_set(discgroup.disc_group(
+            lattice_mod.make_lattice(g))) for g in (gram, conj)]
+        values = [sorted(e.result.d for e in ds.entries) for ds in sets]
+        assert values[0] == values[1]
+        assert sets[0].contains_zero == sets[1].contains_zero
+        nonempty += bool(values[0])
+    assert nonempty >= 10

@@ -5,7 +5,8 @@ import pytest
 from latcorr import discgroup, exactmat, lattice as lattice_mod
 from latcorr.errors import GroupTooLarge, InputError, NotInDualLattice
 
-from conftest import a8_gram, d4_gram, random_posdef_gram
+from conftest import (a8_gram, basis_change, d4_gram, random_posdef_gram,
+                      random_unimodular)
 
 
 def test_disc_group_of_nine():
@@ -225,3 +226,21 @@ def test_make_subgroup_canonical():
     s2 = discgroup.make_subgroup(g, list(elems))
     assert s1 == s2
     assert discgroup.closure(g, s1.generators) == elems
+
+
+def test_pairing_table_matches_lattice_pairing_of_lifts(rng):
+    # the table is read off integer columns of the Smith form; on every
+    # pair of generator lifts it must agree with −Q(g_i, g_j) mod 1 from
+    # the rational pairing of the lattice, also after a change of basis
+    seen = 0
+    for _ in range(30):
+        gram = random_posdef_gram(rng, max_rank=5, max_disc=64)
+        for g in (gram, basis_change(gram, random_unimodular(rng, len(gram)))):
+            lat = lattice_mod.make_lattice(g)
+            grp = discgroup.disc_group(lat)
+            gens = grp.generators
+            assert grp.pairing == tuple(
+                tuple((-lattice_mod.pairing(lat, gi, gj)) % 1 for gj in gens)
+                for gi in gens)
+            seen += len(gens)
+    assert seen >= 30

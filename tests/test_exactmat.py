@@ -294,3 +294,60 @@ def test_lll_gram_rejects_non_definite():
     for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]]):
         with pytest.raises(NotPositiveDefinite):
             exactmat.lll_gram(g)
+
+
+def _random_symmetric(rng, n, lo=-4, hi=4):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randint(lo, hi)
+    return a
+
+
+def test_ldl_matches_rational_cholesky():
+    # differential check against the Fraction LDLᵀ: the same L and D on
+    # definite input, and the same refusal on indefinite and singular input
+    rng = random.Random(41)
+    kinds = {"definite": 0, "indefinite": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.4:  # B·Bᵀ: definite, or singular when B is
+            b = [[rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(rng.randint(max(1, n - 1), n))]
+            b += [[0] * n] * (n - len(b))
+            a = exactmat.matmul(b, exactmat.transpose(b))
+        else:
+            a = _random_symmetric(rng, n)
+        try:
+            lo, dd = exactmat.rational_cholesky(a)
+        except NotPositiveDefinite:
+            with pytest.raises(NotPositiveDefinite):
+                exactmat.ldl(a)
+            kinds["singular" if exactmat.det(a) == 0 else "indefinite"] += 1
+            continue
+        d, lam = exactmat.ldl(a)
+        assert all(type(x) is int for x in d)
+        assert all(type(x) is int for row in lam for x in row)
+        assert dd == [Fraction(d[k + 1], d[k]) for k in range(n)]
+        assert lo == [[Fraction(lam[i][j], d[j + 1]) if j < i else int(i == j)
+                       for j in range(n)] for i in range(n)]
+        kinds["definite"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_ldl_minors_are_leading_determinants():
+    rng = random.Random(42)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if exactmat.det(b) == 0:
+            continue
+        a = exactmat.matmul(b, exactmat.transpose(b))
+        d, _ = exactmat.ldl(a)
+        assert d == [1] + [cofactor_det([row[:k] for row in a[:k]])
+                           for k in range(1, n + 1)]
+
+
+def test_ldl_rejects_asymmetric():
+    with pytest.raises(ValueError):
+        exactmat.ldl([[1, 2], [0, 1]])

@@ -46,10 +46,11 @@ def test_make_lattice_rejections():
 @pytest.mark.parametrize("gram", [[[9]], neg_one_a8_gram()],
                          ids=["nine", "neg-one-a8"])
 def test_make_lattice_factors_once(monkeypatch, gram):
-    # one LDLᵀ of the form, signed by its first diagonal entry; the
-    # determinant is needed only to name the error for a form that is
-    # not definite
-    calls = {"rational_cholesky": 0, "det": 0}
+    # one fraction-free LDLᵀ of the form, signed by its first diagonal
+    # entry, decides definiteness by its leading minors; the Fraction
+    # LDLᵀ is not used, and the determinant is needed only to name the
+    # error for a form that is not definite
+    calls = {"ldl": 0, "rational_cholesky": 0, "det": 0}
     for name in calls:
         real = getattr(exactmat, name)
 
@@ -59,7 +60,7 @@ def test_make_lattice_factors_once(monkeypatch, gram):
 
         monkeypatch.setattr(exactmat, name, counting)
     lattice_mod.make_lattice(gram)
-    assert calls == {"rational_cholesky": 1, "det": 0}
+    assert calls == {"ldl": 1, "rational_cholesky": 0, "det": 0}
 
 
 def test_load_lattice(tmp_path):
