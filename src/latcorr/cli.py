@@ -1,6 +1,15 @@
 """Command-line frontend.
 
 Two-level grammar (`lattice ...`, `topo ...`) mirroring the library split.
+`COMMANDS` maps each domain to its commands and each command to the function
+that adds its own arguments.  A command line that names a domain and one of
+its commands is parsed by that command's parser alone, built with the shared
+flags and named `latcorr <domain> <command>`; the full tree from
+`build_parser` parses every other command line, which is where the top-level
+and domain help and the usage errors for a missing or unknown domain or
+command come from.  The top-level and domain parsers have no option but
+`-h`, so the full tree hands the same arguments to the same command parser,
+and both paths give the same result, help text and error.
 Exit codes: 0 = embeds / unobstructed / consistent, 2 = does not embed /
 obstructed / inconsistent, 3 = inconclusive (even-order caveat), 1 = error.
 Errors print a single machine-parsable line: "error: <CODE>: <message>".
@@ -37,38 +46,69 @@ def _subgroup_json(m):
             "generators": [list(e) for e in m.generators]}
 
 
+def _common(p):
+    """The flags every command takes."""
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--oracle", action="store_true",
+                   help="run brute-force cross-checks; fail on disagreement")
+    p.add_argument("--max-group", type=int, default=discgroup.DEFAULT_GROUP_CAP,
+                   metavar="N", help="cap on discriminant group order")
+    p.add_argument("--threads", type=int, default=1, metavar="N")
+
+
+def _lattice_file(p):
+    p.add_argument("file", help="lattice JSON file {\"gram\": [[ints]]}")
+
+
+def _filling_file(p):
+    p.add_argument("file", help="filling intersection form JSON file")
+
+
+def _dtable(p):
+    p.add_argument("--dtable", required=True, help="d-invariant table JSON file")
+
+
+def _chain(p):
+    p.add_argument("--filling", required=True, help="filling intersection form JSON file")
+    _dtable(p)
+
+
+COMMANDS = {
+    "lattice": {"info": _lattice_file, "metabolizers": _lattice_file,
+                "dset": _lattice_file, "embed-check": _lattice_file,
+                "dinv": _lattice_file},
+    "topo": {"linking-form": _filling_file, "rb-obstruction": _dtable,
+             "filling-obstruction": _dtable, "chain": _chain},
+}
+
+
 def build_parser():
+    """The full parser tree: every domain and command in `COMMANDS`."""
     parser = _Parser(prog="latcorr",
                      description="Lattice embedding obstructions via "
                                  "correction terms of unimodular overlattices.")
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--oracle", action="store_true",
-                        help="run brute-force cross-checks; fail on disagreement")
-    common.add_argument("--max-group", type=int, default=discgroup.DEFAULT_GROUP_CAP,
-                        metavar="N", help="cap on discriminant group order")
-    common.add_argument("--threads", type=int, default=1, metavar="N")
-
     sub = parser.add_subparsers(dest="domain", required=True, parser_class=_Parser)
-
-    lat = sub.add_parser("lattice")
-    lat_sub = lat.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in ("info", "metabolizers", "dset", "embed-check", "dinv"):
-        p = lat_sub.add_parser(name, parents=[common])
-        p.add_argument("file", help="lattice JSON file {\"gram\": [[ints]]}")
-
-    top = sub.add_parser("topo")
-    top_sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p = top_sub.add_parser("linking-form", parents=[common])
-    p.add_argument("file", help="filling intersection form JSON file")
-    for name in ("rb-obstruction", "filling-obstruction"):
-        p = top_sub.add_parser(name, parents=[common])
-        p.add_argument("--dtable", required=True, help="d-invariant table JSON file")
-    p = top_sub.add_parser("chain", parents=[common])
-    p.add_argument("--filling", required=True, help="filling intersection form JSON file")
-    p.add_argument("--dtable", required=True, help="d-invariant table JSON file")
-
+    for domain, commands in COMMANDS.items():
+        dom_sub = sub.add_parser(domain).add_subparsers(
+            dest="command", required=True, parser_class=_Parser)
+        for command, add_arguments in commands.items():
+            p = dom_sub.add_parser(command)
+            _common(p)
+            add_arguments(p)
     return parser
+
+
+def parse_args(argv):
+    """Parse argv with the one command parser it names, or with the full
+    tree when it names no command."""
+    if len(argv) >= 2 and argv[1] in COMMANDS.get(argv[0], ()):
+        domain, command = argv[:2]
+        p = _Parser(prog=f"latcorr {domain} {command}")
+        _common(p)
+        COMMANDS[domain][command](p)
+        p.set_defaults(domain=domain, command=command)
+        return p.parse_args(argv[2:])
+    return build_parser().parse_args(argv)
 
 
 def _validate(args):
@@ -248,8 +288,7 @@ def _render_text(payload, out):
 
 def run(argv):
     """Parse argv, execute, render; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     _validate(args)
     if args.domain == "lattice":
         code, payload = _run_lattice(args)

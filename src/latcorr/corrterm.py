@@ -203,7 +203,8 @@ def constrained_min(lat, u):
     With B = u.basis, χ = c·B is characteristic for L exactly when
     (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by an element of
     Λ = U ∩ 2L*, so the constraint set is the one coset c₀ + Λ; it is
-    searched once, in an LLL-reduced basis of Λ.
+    searched once, in an LLL-reduced basis of Λ, where c₀ is placed by
+    integer solves.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -226,6 +227,16 @@ def constrained_min(lat, u):
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g
     t, a = exactmat.lll_gram([[x // g for x in row] for row in a])
-    rinv = exactmat.inverse(exactmat.matmul(t, rows))
-    val, _, _ = coset_min(a, exactmat.mat_vec(exactmat.transpose(rinv), c0))
+    # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
+    # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
+    # HNF rows, then z = y·T⁻¹, with T⁻¹ the transform of hnf(T) = I
+    y = []
+    for j in range(n):
+        q, r = divmod(2 * c0[j] - sum(y[i] * rows[i][j] for i in range(j)),
+                      rows[j][j])
+        if r:
+            raise InvariantViolation("2U is not contained in U ∩ 2L*")
+        y.append(q)
+    z = exactmat.mat_vec(exactmat.transpose(exactmat.hnf(t)[1]), y)
+    val, _, _ = coset_min(a, [Fraction(x, 2) for x in z])
     return (val / denom - n) / 4

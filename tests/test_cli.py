@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -8,6 +10,7 @@ import sys
 import pytest
 
 from latcorr import cli, corrterm, discgroup, exactmat, topo
+from latcorr.errors import LatcorrError
 
 from conftest import DATA_DIR
 
@@ -193,6 +196,77 @@ def test_unknown_command(capsys):
     code, _, err = run_cli(capsys, "lattice", "frobnicate", "x.json")
     assert code == 1
     assert err.startswith("error: LatcorrError:")
+
+
+# command lines that a command parser and the full tree must treat alike:
+# help at every level, bad choices, missing, extra and unknown arguments,
+# `--x=y`, abbreviations and `--`
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["lattice"], ["lattice", "-h"], ["topo", "--help"],
+    ["frobnicate"], ["lattice", "frobnicate", "x.json"], ["topo", "dinv", "x"],
+    ["lattice", "chain", "x"], ["lattice", "dinv", "-h"],
+    ["topo", "chain", "--help"], ["lattice", "info", "x.json", "-h"],
+    ["lattice", "embed-check", "-h", "extra"], ["lattice", "dinv"],
+    ["topo", "chain", "--dtable", "t.json"], ["topo", "rb-obstruction"],
+    ["lattice", "dinv", "a.json", "b.json"],
+    ["lattice", "info", "x.json", "--bogus"],
+    ["topo", "chain", "--filling", "f.json", "--dtable", "t.json", "--x=y"],
+    ["lattice", "info", "x.json", "--form=json"],
+    ["lattice", "info", "--", "x.json"], ["lattice", "info", "x.json", "--", "-x"],
+    ["lattice", "info", "x.json", "--format", "xml"],
+    ["lattice", "info", "x.json", "--max-group", "x"],
+    ["lattice", "info", "x.json", "--max-group=-3", "--threads", "2"],
+    ["lattice", "info", "x.json", "--format"],
+    ["lattice", "--format", "json", "info", "x.json"],
+    ["--format", "json", "lattice", "info", "x.json"],
+    ["lattice", "dset", "x.json", "--oracle", "--format", "json"],
+    ["topo", "linking-form", "x.json", "--max-gr", "10"],
+    ["topo", "filling-obstruction", "--dtable", "t.json", "--form", "text"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """The Namespace, the error message, or the exit code with the text
+    written (help exits through SystemExit)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "args", parse(argv)
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue()
+    except LatcorrError as e:
+        return "error", str(e)
+
+
+def test_command_parser_matches_full_tree():
+    differ = [argv for argv in PARSER_CASES
+              if _parse_outcome(cli.parse_args, argv) !=
+              _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)]
+    assert differ == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "info", "nine.json"], ["lattice", "metabolizers", "nine.json"],
+    ["lattice", "dset", "nine.json"], ["lattice", "embed-check", "nine.json"],
+    ["lattice", "dinv", "e8.json"], ["topo", "linking-form", "four.json"],
+    ["topo", "rb-obstruction", "--dtable", "s39_t23.json"],
+    ["topo", "filling-obstruction", "--dtable", "z_example.json"],
+    ["topo", "chain", "--filling", "nine.json", "--dtable", "s39_t23.json"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_one_parser_per_command(capsys, monkeypatch, argv):
+    built = []
+    real = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    code, _, err = run_cli(capsys, *[str(DATA_DIR / a) if a.endswith(".json")
+                                     else a for a in argv])
+    assert code in (0, 2)
+    assert err == ""
+    assert built == [f"latcorr {argv[0]} {argv[1]}"]
 
 
 def test_json_output_is_deterministic(capsys):

@@ -23,6 +23,7 @@ CASES = {
     "lattice_embed_check_neg_one_a8": ["lattice", "embed-check",
                                        "neg_one_a8.json"],
     "lattice_dinv_nine": ["lattice", "dinv", "nine.json"],
+    "lattice_dinv_e8": ["lattice", "dinv", "e8.json"],
     "topo_linking_form_four": ["topo", "linking-form", "four.json"],
     "topo_rb_obstruction_s39": ["topo", "rb-obstruction",
                                 "--dtable", "s39_t23.json"],
@@ -37,6 +38,7 @@ CASES = {
                                         "--oracle"],
     "lattice_embed_check_neg_one_a8_oracle": ["lattice", "embed-check",
                                               "neg_one_a8.json", "--oracle"],
+    "lattice_dinv_e8_oracle": ["lattice", "dinv", "e8.json", "--oracle"],
 }
 FORMATS = ("json", "text")
 
