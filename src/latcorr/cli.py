@@ -131,7 +131,7 @@ def _check_embed_oracle(lat, embeds, notes):
 
 
 def _check_char_min_oracle(obj, minimum, notes):
-    gram = [[int(x) for x in row] for row in obj.gram]  # unimodular by now
+    gram = oracle.gram_of(obj)  # unimodular by now
     ginv = exactmat.inverse(gram)
     w0 = [gram[i][i] % 2 for i in range(len(gram))]
     bound = sum(w0[i] * ginv[i][j] * w0[j]
@@ -167,7 +167,7 @@ def _run_lattice(args):
             "rank": lat.rank,
             "definite": "negative" if lat.negated else "positive",
             "orientation": "negated" if lat.negated else "as-given",
-            "disc": lattice_mod.discriminant(lat),
+            "disc": grp.order,
             "orders": list(grp.orders),
             "pairing": _pairing_json(grp.pairing),
         }

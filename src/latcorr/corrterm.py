@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import (OverLattice, int_gram, integer_rows, is_unimodular,
+from .overlattice import (OverLattice, int_gram, is_unimodular,
                           overlattice as build_overlattice)
 from .errors import InputError, InvariantViolation, NotInDualLattice
 from .lattice import Lattice
@@ -128,7 +128,7 @@ def _unimodular_gram(obj):
     if isinstance(obj, OverLattice):
         if not is_unimodular(obj):
             raise InputError("correction term requires a unimodular overlattice")
-        return (int_gram(obj),) + integer_rows(obj.basis)
+        return int_gram(obj), obj.rows, obj.denom
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
@@ -200,15 +200,15 @@ def constrained_min(lat, u):
     lie in the intermediate lattice U = U(M), i.e. whose projection lies in
     the subgroup M.
 
-    With B = u.basis, χ = c·B is characteristic for L exactly when
-    (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by an element of
-    Λ = U ∩ 2L*, so the constraint set is the one coset c₀ + Λ; it is
-    searched once, in an LLL-reduced basis of Λ, where c₀ is placed by
-    integer solves.
+    With B = u.rows/u.denom the basis of U, χ = c·B is characteristic for
+    L exactly when (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by
+    an element of Λ = U ∩ 2L*, so the constraint set is the one coset
+    c₀ + Λ; it is searched once, in an LLL-reduced basis of Λ, where c₀ is
+    placed by integer solves.
     """
     gram = lat.gram_rows()
     n = lat.rank
-    h, e = integer_rows(u.basis)  # B = h/e
+    h, e = u.rows, u.denom  # B = h/e
     p = exactmat.matmul(h, gram)  # e·B·G_L
     if any(x % e for row in p for x in row):
         raise NotInDualLattice("overlattice is not contained in L*")

@@ -9,7 +9,7 @@ projection map) or from an external table (orders and pairing only).
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import exactmat, lattice as lattice_mod
 from .errors import GroupTooLarge, InputError, NotInDualLattice
@@ -28,10 +28,7 @@ class DiscGroup:
 
     @property
     def order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return prod(self.orders)
 
     @property
     def identity(self):

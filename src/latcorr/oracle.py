@@ -108,7 +108,8 @@ def _enumerate_coset(a, t, radius, node_cap=ENUM_NODE_CAP):
     yield from walk(n - 1, Fraction(0))
 
 
-def _gram_of(obj):
+def gram_of(obj):
+    """The int Gram matrix of a lattice or of an integral overlattice."""
     if isinstance(obj, Lattice):
         return obj.gram_rows()
     return int_gram(obj)
@@ -118,7 +119,7 @@ def brute_char_min(obj, bound):
     """Exact min of χ² over characteristic vectors, by full enumeration of
     the coset points with square ≤ bound (the caller supplies an achieved
     bound, e.g. the square of any characteristic vector)."""
-    gram = _gram_of(obj)
+    gram = gram_of(obj)
     n = len(gram)
     a = exactmat.inverse(gram)
     w0 = [gram[i][i] % 2 for i in range(n)]
@@ -160,7 +161,7 @@ def brute_subgroups(g, cap=SUBGROUP_CAP):
 def is_standard(obj, rank_cap=STANDARD_RANK_CAP):
     """True iff the unimodular positive definite lattice is Zⁿ: it must
     contain exactly 2n vectors of square one, spanning the lattice."""
-    gram = _gram_of(obj)
+    gram = gram_of(obj)
     n = len(gram)
     if n > rank_cap:
         raise SearchTooLarge("rank exceeds the is_standard cap")

@@ -1,15 +1,15 @@
 """Intermediate lattices L ⊂ L' ⊂ L*, in particular U(M) = π⁻¹(M).
 
-An overlattice is stored by a canonical (HNF-reduced) basis in the
-coordinates of the base lattice, so overlattice values compare by equality.
+An overlattice L' is stored as integers: the HNF rows of denom·L' ⊂ L in
+the coordinates of the base lattice, with denom the exponent of L'/L, so
+overlattice values compare by equality.
 Construction never fails: integrality and unimodularity are queried
 properties, which is what makes the failing direction of the
 metabolizer/unimodular-overlattice correspondence testable.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from . import exactmat
 from .errors import InvariantViolation, NotIntegral
@@ -17,39 +17,32 @@ from .errors import InvariantViolation, NotIntegral
 
 @dataclass(frozen=True)
 class OverLattice:
-    basis: tuple  # n×n Fraction rows, basis of L' in L-coordinates
-    gram: tuple   # n×n Fractions, basis·gram_L·basisᵀ
-    index: int    # [L' : L]
-
-
-def integer_rows(rows):
-    """(H, e) with rows = H/e for int or Fraction rows, e the least common
-    denominator."""
-    e = lcm(1, *(x.denominator for row in rows for x in row))
-    return [[x.numerator * (e // x.denominator) for x in row]
-            for row in rows], e
+    rows: tuple         # n×n int HNF rows H; the basis of L' is H/denom
+    denom: int          # exponent of L'/L: the least e with e·L' ⊂ L
+    scaled_gram: tuple  # n×n ints H·G_L·Hᵀ = denom²·gram(L')
+    index: int          # [L' : L]
 
 
 def _canonical(lat, rows, denom):
     """Canonical overlattice spanned by rows/denom (int rows, in L-coords).
 
-    The basis is H/denom for the HNF H of the rows, and its Gram matrix is
-    the integer product H·G_L·Hᵀ, divided once by denom²."""
+    The rows are put in HNF H, and H and denom are divided by their common
+    gcd, so that denom is the exponent of L'/L and H is the HNF of the
+    lattice denom·L' ⊂ L: equal lattices give equal values."""
     n = lat.rank
     h = exactmat.hnf(rows)[0][:n]
-    pivots = 1
-    for i in range(n):
-        pivots *= h[i][i]
+    pivots = prod(h[i][i] for i in range(n))
     if pivots == 0 or denom ** n % pivots != 0:
         raise InvariantViolation("spanning rows do not contain the lattice")
+    index = denom ** n // pivots
+    g = gcd(denom, *(x for row in h for x in row))
+    h = [[x // g for x in row] for row in h]
+    denom //= g
     gram = exactmat.matmul(exactmat.matmul(h, lat.gram_rows()),
                            exactmat.transpose(h))
-    d2 = denom * denom
-    return OverLattice(
-        basis=tuple(tuple(Fraction(x, denom) for x in row) for row in h),
-        gram=tuple(tuple(Fraction(x, d2) for x in row) for row in gram),
-        index=denom ** n // pivots,
-    )
+    return OverLattice(rows=tuple(map(tuple, h)), denom=denom,
+                       scaled_gram=tuple(map(tuple, gram)),
+                       index=index)
 
 
 def overlattice(grp, m):
@@ -67,34 +60,34 @@ def overlattice(grp, m):
 
 
 def is_integral(u):
-    return all(x.denominator == 1 for row in u.gram for x in row)
+    d2 = u.denom * u.denom
+    return all(x % d2 == 0 for row in u.scaled_gram for x in row)
 
 
 def is_unimodular(u):
-    if not is_integral(u):
-        return False
-    g = [[int(x) for x in row] for row in u.gram]
-    return abs(exactmat.det(g)) == 1
+    return is_integral(u) and abs(exactmat.det(int_gram(u))) == 1
 
 
 def int_gram(u):
     """The Gram matrix of an integral overlattice, as plain ints."""
     if not is_integral(u):
         raise NotIntegral("overlattice form is not integral")
-    return [[int(x) for x in row] for row in u.gram]
+    d2 = u.denom * u.denom
+    return [[x // d2 for x in row] for row in u.scaled_gram]
 
 
 def dual_of(lat, u):
-    """The dual (L')* of an integral overlattice, in L-coordinates.
+    """The dual (L')* of an integral overlattice (NotIntegral otherwise), in
+    L-coordinates.
 
     Its basis rows are gram(L')⁻¹·basis(L'), which pair to the identity
     against the rows of basis(L').
     """
-    if not is_integral(u):
-        raise NotIntegral("dual of an overlattice requires an integral form")
-    ginv = exactmat.inverse([list(r) for r in u.gram])
-    rows = exactmat.matmul(ginv, [list(r) for r in u.basis])
-    return _canonical(lat, *integer_rows(rows))
+    rows = exactmat.matmul(exactmat.inverse(int_gram(u)), u.rows)
+    # the dual basis is rows/denom; clear the inverse's denominators into e
+    e = lcm(1, *(x.denominator for row in rows for x in row))
+    return _canonical(lat, [[x.numerator * (e // x.denominator) for x in row]
+                            for row in rows], e * u.denom)
 
 
 def index_check(lat, u):

@@ -38,10 +38,7 @@ class DInvariantTable:
 
     @property
     def complete(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return len(self.values) == n
+        return len(self.values) == prod(self.orders)
 
     def group(self):
         return discgroup.group_from_table(self.orders, self.pairing)
@@ -178,20 +175,22 @@ def _require_complete(table):
             "d-table does not key every element of the group")
 
 
-def _metabolizer_values(table, m):
-    return tuple((e, table.values[e]) for e in m.elements)
+def _table_evidence(table, cap):
+    """One record per metabolizer of a complete table's group, holding the
+    table's values on it."""
+    _require_complete(table)
+    return tuple(
+        MetabolizerRecord(metabolizer=m,
+                          d_values=tuple((e, table.values[e])
+                                         for e in m.elements))
+        for m in discgroup.metabolizers_of_group(table.group(), cap=cap))
 
 
 def rb_correction_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
     """Correction-term obstruction to bounding a rational homology ball:
     unobstructed iff some metabolizer carries d ≡ 0."""
-    _require_complete(table)
-    grp = table.group()
-    mets = discgroup.metabolizers_of_group(grp, cap=cap)
-    evidence = tuple(
-        MetabolizerRecord(metabolizer=m, d_values=_metabolizer_values(table, m))
-        for m in mets)
-    if not mets:
+    evidence = _table_evidence(table, cap)
+    if not evidence:
         verdict, reason = "obstructed", "no metabolizer exists"
     elif any(all(v == 0 for _, v in rec.d_values) for rec in evidence):
         verdict, reason = "unobstructed", None
@@ -207,12 +206,7 @@ def rb_correction_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
 def definite_filling_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
     """Obstruction to bounding a positive definite filling with H₁ = 0:
     fires iff some metabolizer carries strictly positive d everywhere."""
-    _require_complete(table)
-    grp = table.group()
-    mets = discgroup.metabolizers_of_group(grp, cap=cap)
-    evidence = tuple(
-        MetabolizerRecord(metabolizer=m, d_values=_metabolizer_values(table, m))
-        for m in mets)
+    evidence = _table_evidence(table, cap)
     fires = any(all(v > 0 for _, v in rec.d_values) for rec in evidence)
     caveat = None if table.z2_homology_sphere else EVEN_ORDER_CAVEAT
     if fires and caveat:

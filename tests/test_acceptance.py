@@ -10,7 +10,8 @@ from math import isqrt
 
 from latcorr import (cli, corrterm, discgroup, exactmat,
                      lattice as lattice_mod, oracle, topo)
-from latcorr.overlattice import (index_check, is_integral, is_unimodular,
+from latcorr.overlattice import (index_check, int_gram, is_integral,
+                                 is_unimodular,
                                  overlattice as build_overlattice)
 
 from conftest import (DATA_DIR, basis_change, e8_gram, one_plus_a8_gram,
@@ -152,8 +153,7 @@ def test_metabolizer_unimodular_correspondence(capsys):
             u = build_overlattice(g, s)
             assert is_unimodular(u) == (s.elements in mets)
             if is_integral(u):
-                du = abs(exactmat.det(
-                    [[int(x) for x in row] for row in u.gram]))
+                du = abs(exactmat.det(int_gram(u)))
                 assert disc == du * u.index ** 2
             checked += 1
     assert checked >= 100

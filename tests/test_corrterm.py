@@ -8,7 +8,7 @@ import pytest
 from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle)
 from latcorr.errors import InputError, NotInDualLattice
-from latcorr.overlattice import overlattice as build_overlattice
+from latcorr.overlattice import int_gram, overlattice as build_overlattice
 
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
@@ -239,6 +239,11 @@ def test_constrained_min_matches_coset_scan(rng):
     assert checked >= 90
 
 
+def _basis(u):
+    """The basis rows/denom of an overlattice, in base-lattice coordinates."""
+    return [[Fraction(x, u.denom) for x in row] for row in u.rows]
+
+
 def _assert_witness(lat, basis, res):
     """The witness lies in the lattice spanned by basis (rows in the
     coordinates of lat), is characteristic there and has square minimum."""
@@ -284,7 +289,7 @@ def test_min_char_square_matches_oracle_on_overlattices(rng):
             u = build_overlattice(grp, m)
             res = corrterm.min_char_square(u)
             assert oracle.brute_char_min(u, res.minimum) == res.minimum
-            _assert_witness(lat, u.basis, res)
+            _assert_witness(lat, _basis(u), res)
             seen += 1
 
 
@@ -407,12 +412,13 @@ def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
             u = build_overlattice(grp, m)
             fast = corrterm.constrained_min(lat, u)
             bound = 4 * fast + n
-            ginv = exactmat.inverse([list(r) for r in u.gram])
+            ginv = exactmat.inverse([[Fraction(x, u.denom ** 2) for x in r]
+                                     for r in u.scaled_gram])
             box = [range(-r, r + 1) for r in
                    (isqrt(floor(bound * ginv[i][i])) + 1 for i in range(n))]
             best = None
             for c in product(*box):
-                chi = tuple(sum(ci * row[j] for ci, row in zip(c, u.basis))
+                chi = tuple(sum(ci * row[j] for ci, row in zip(c, _basis(u)))
                             for j in range(n))
                 if lattice_mod.is_characteristic(lat, chi):
                     sq = lattice_mod.pairing(lat, chi, chi)
@@ -436,8 +442,7 @@ def test_min_char_square_is_additive(rng):
         lat = lattice_mod.make_lattice(random_posdef_gram(rng))
         grp = discgroup.disc_group(lat)
         for m in discgroup.metabolizers_of_group(grp):
-            grams.append([[int(x) for x in row]
-                          for row in build_overlattice(grp, m).gram])
+            grams.append(int_gram(build_overlattice(grp, m)))
 
     def d(gram):
         return corrterm.min_char_square(lattice_mod.make_lattice(gram)).d

@@ -6,22 +6,17 @@ in exit 1 with empty stdout and one `error: <Code>: <message>` line on
 stderr, never in a traceback. The tables are mostly well formed, so that
 many reach the metabolizer search; the rest carry junk where numbers,
 lists or flags belong. The runs are derandomized and keep no example
-database, so the test is deterministic, and Hypothesis's own caches go to
-a temporary directory rather than to `.hypothesis/` in the checkout.
+database, so the test is deterministic.
 """
 
-import contextlib
-import io
 import itertools
 import json
-import re
-import tempfile
 from math import gcd
 
 import pytest
-from hypothesis import configuration, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from latcorr import cli
+from fuzzing import run_json
 
 CHAINS = ([], [2], [3], [4], [9], [2, 2], [2, 4], [3, 3], [5, 5],
           [2, 2, 2], [3, 9])
@@ -30,12 +25,6 @@ VALUES = st.one_of(st.sampled_from(["0", "2", "-1/2", "1/9", "-2/9"]),
 JUNK = st.one_of(st.none(), st.booleans(), st.floats(-2, 2),
                  st.sampled_from(["", "x", "1/0", "1/2/3"]),
                  st.lists(st.integers(-1, 3), max_size=2))
-ERROR_LINE = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
-
-# Hypothesis caches what it reads from local source files under its home
-# directory while pytest collects; the directory goes away at exit
-_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-configuration.set_hypothesis_home_dir(_HOME.name)
 
 
 @st.composite
@@ -89,15 +78,7 @@ def test_any_dtable_ends_in_a_verdict_or_one_error_line(tmp_path_factory,
                                                         command, table):
     path = tmp_path_factory.getbasetemp() / "fuzz_table.json"
     path.write_text(json.dumps(table))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["topo", command, "--dtable", str(path),
-                         "--format", "json"])
-    assert code in (0, 1, 2, 3)
-    if code == 1:
-        assert out.getvalue() == ""
-        assert ERROR_LINE.fullmatch(err.getvalue())
-    else:
-        assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["verdict"] in (
+    code, payload = run_json(["topo", command, "--dtable", str(path)])
+    if code != 1:
+        assert payload["verdict"] in (
             "obstructed", "unobstructed", "inconclusive")

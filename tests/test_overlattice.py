@@ -1,10 +1,10 @@
-from fractions import Fraction
+import random
 
 import pytest
 
-from latcorr import discgroup, lattice as lattice_mod
-from latcorr.overlattice import (dual_of, index_check, int_gram, is_integral,
-                                 is_unimodular,
+from latcorr import discgroup, lattice as lattice_mod, oracle
+from latcorr.overlattice import (_canonical, dual_of, index_check, int_gram,
+                                 is_integral, is_unimodular,
                                  overlattice as build_overlattice)
 from latcorr.errors import NotIntegral
 
@@ -19,8 +19,8 @@ def test_trivial_overlattice_is_the_lattice():
     g = discgroup.disc_group(lattice_mod.make_lattice([[9]]))
     u = build_overlattice(g, _trivial_subgroup(g))
     assert u.index == 1
-    assert u.basis == ((Fraction(1),),)
-    assert u.gram == ((Fraction(9),),)
+    assert (u.rows, u.denom) == (((1,),), 1)
+    assert u.scaled_gram == ((9,),)
 
 
 def test_nine_metabolizer_overlattice_is_standard():
@@ -131,3 +131,46 @@ def test_canonical_form_is_basis_independent():
     m2 = discgroup.Subgroup(elements=m.elements, generators=((6,),))
     u2 = build_overlattice(g, m2)
     assert u1 == u2
+
+
+@pytest.fixture(scope="module")
+def seeded_overlattices():
+    """(lattice, group, subgroup, U(subgroup)) for every subgroup of the
+    discriminant groups of 16 seeded lattices with 1 < |G| ≤ 64."""
+    rng = random.Random(20240817)
+    cases, lattices = [], 0
+    while lattices < 16:
+        lat = lattice_mod.make_lattice(random_posdef_gram(rng, max_disc=64))
+        g = discgroup.disc_group(lat)
+        if g.order == 1:
+            continue
+        lattices += 1
+        cases += [(lat, g, s, build_overlattice(g, s))
+                  for s in oracle.brute_subgroups(g)]
+    return cases
+
+
+def test_canonical_form_ignores_a_common_factor(seeded_overlattices):
+    # the rows over their denominator name the lattice, not the scale: k·H
+    # over k·denom gives the same value, and every field is a plain int
+    for lat, _, _, u in seeded_overlattices:
+        assert type(u.denom) is type(u.index) is int
+        assert all(type(x) is int for m in (u.rows, u.scaled_gram)
+                   for row in m for x in row)
+        for k in (2, 6):
+            scaled = [[k * x for x in row] for row in u.rows]
+            assert _canonical(lat, scaled, k * u.denom) == \
+                _canonical(lat, u.rows, u.denom) == u
+    assert len(seeded_overlattices) >= 200
+
+
+def test_dual_of_overlattice_is_overlattice_of_annihilator(
+        seeded_overlattices):
+    # U(M)* = U(M^⊥) for every subgroup M with integral U(M)
+    checked = 0
+    for lat, g, s, u in seeded_overlattices:
+        if is_integral(u):
+            ann = discgroup.annihilator(g, s)
+            assert dual_of(lat, u) == build_overlattice(g, ann)
+            checked += 1
+    assert checked >= 40
