@@ -10,9 +10,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from operator import mul
 
 from . import exactmat, lattice as lattice_mod
-from .errors import GroupTooLarge, InputError, NotInDualLattice
+from .errors import (GroupTooLarge, InputError, InvariantViolation,
+                     NotInDualLattice)
 
 DEFAULT_GROUP_CAP = 10 ** 4
 
@@ -73,6 +75,31 @@ def lam(g, x, y):
                 if yj:
                     total += xi * yj * g.pairing[i][j]
     return total % 1
+
+
+def _int_form(g):
+    """(N, P): the exponent N of G and the integer table P = N·λ(g_i, g_j).
+
+    P is exact: λ(g_i, g_j) has order dividing d_i, and d_i | N.  Then
+    N·λ(x, y) ≡ r(x)·y (mod N) for the row r(x) = xᵀP mod N (`_row`), so
+    λ(x, y) = 0 iff that integer dot product vanishes mod N.
+    """
+    n = g.orders[-1] if g.orders else 1
+    table = [[n * v for v in row] for row in g.pairing]
+    if any(v.denominator != 1 for row in table for v in row):
+        raise InvariantViolation("pairing value incompatible with group order")
+    return n, [[v.numerator for v in row] for row in table]
+
+
+def _row(form, x):
+    """r(x) = xᵀP mod N for the integer form (N, P) of `_int_form`."""
+    n, p = form
+    return tuple(sum(a * pj for a, pj in zip(x, col)) % n for col in zip(*p))
+
+
+def _isotropic(form, r, y):
+    """λ(x, y) = 0, given r = r(x)."""
+    return sum(map(mul, r, y)) % form[0] == 0
 
 
 def disc_group(lat):
@@ -196,8 +223,11 @@ def _subgroups(g, m, isotropic):
     each subgroup with the next candidate to try.
     """
     candidates = [x for x in g.elements()
-                  if x != g.identity and m % element_order(g, x) == 0
-                  and (not isotropic or lam(g, x, x) == 0)]
+                  if x != g.identity and m % element_order(g, x) == 0]
+    if isotropic:
+        form = _int_form(g)
+        rows = {x: _row(form, x) for x in candidates}
+        candidates = [x for x in candidates if _isotropic(form, rows[x], x)]
     found = set()
     path = [(0, {g.identity}, ())]
     while path:
@@ -207,8 +237,8 @@ def _subgroups(g, m, isotropic):
             continue
         for i in range(start, len(candidates)):
             x = candidates[i]
-            if x in current or isotropic and any(
-                    lam(g, x, h) != 0 for h in gens):
+            if x in current or isotropic and not all(
+                    _isotropic(form, rows[x], h) for h in gens):
                 continue
             grown = closure(g, gens + (x,))
             if m % len(grown) == 0:
@@ -239,6 +269,8 @@ def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
 
 def annihilator(g, h):
     """All x with λ(x, y) = 0 for every y in the subgroup h."""
+    form = _int_form(g)
+    rows = [_row(form, gen) for gen in h.generators]
     elems = [x for x in g.elements()
-             if all(lam(g, x, gen) == 0 for gen in h.generators)]
+             if all(_isotropic(form, r, x) for r in rows)]
     return make_subgroup(g, elems)

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from latcorr import discgroup, exactmat, lattice as lattice_mod
-from latcorr.errors import GroupTooLarge, InputError, NotInDualLattice
+from latcorr import discgroup, exactmat, lattice as lattice_mod, topo
+from latcorr.errors import (GroupTooLarge, InputError, InvariantViolation,
+                            NotInDualLattice)
 
-from conftest import (a8_gram, basis_change, d4_gram, random_posdef_gram,
-                      random_unimodular)
+from conftest import (DATA_DIR, a8_gram, basis_change, d4_gram,
+                      random_posdef_gram, random_unimodular)
 
 
 def test_disc_group_of_nine():
@@ -244,3 +245,125 @@ def test_pairing_table_matches_lattice_pairing_of_lifts(rng):
                 for gi in gens)
             seen += len(gens)
     assert seen >= 30
+
+
+def _diag(ds):
+    return [[d if i == j else 0 for j in range(len(ds))]
+            for i, d in enumerate(ds)]
+
+
+A2_A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+
+
+def _conjugate_group(rng, gram):
+    """The discriminant group of a seeded change of basis of gram."""
+    t = random_unimodular(rng, len(gram))
+    return discgroup.disc_group(lattice_mod.make_lattice(basis_change(gram, t)))
+
+
+def _hyperbolic(p, m):
+    """The hyperbolic form on (Z/p)^{2m}: λ(e_{2i}, e_{2i+1}) = 1/p, all
+    other table entries 0 (an alternating form when p = 2)."""
+    k = 2 * m
+    table = [["0"] * k for _ in range(k)]
+    for i in range(0, k, 2):
+        table[i][i + 1] = table[i + 1][i] = f"1/{p}"
+    return discgroup.group_from_table((p,) * k, table)
+
+
+def _int_form_groups(rng):
+    lattice_groups = [_conjugate_group(rng, gram) for gram in (
+        _diag((2, 2, 4, 4)), _diag((3, 3, 9, 9)), _diag((5, 125)), A2_A2)]
+    table_groups = [_hyperbolic(2, 1), _hyperbolic(2, 2), _hyperbolic(3, 2)]
+    trivial = discgroup.disc_group(lattice_mod.make_lattice([[1]]))
+    return lattice_groups + table_groups + [trivial]
+
+
+def test_integer_rows_agree_with_lam(rng):
+    # N·λ(x, y) ≡ r(x)·y (mod N), with N the exponent of G.  Every pair is
+    # checked on groups up to order 81; on the groups of order 625 and 729
+    # (all pairs take about 40 s through the Fraction reference) every
+    # element is checked against the basis and a seeded sample
+    groups = _int_form_groups(rng)
+    assert [g.orders for g in groups] == [
+        (2, 2, 4, 4), (3, 3, 9, 9), (5, 125), (3, 3),
+        (2, 2), (2, 2, 2, 2), (3, 3, 3, 3), ()]
+    for g in groups:
+        form = discgroup._int_form(g)
+        n = form[0]
+        assert n == (g.orders[-1] if g.orders else 1)
+        elems = list(g.elements())
+        basis = [tuple(int(i == j) for j in range(len(g.orders)))
+                 for i in range(len(g.orders))]
+        ys = elems if len(elems) <= 81 else basis + rng.sample(elems, 8)
+        for x in elems:
+            r = discgroup._row(form, x)
+            assert all(0 <= v < n for v in r)
+            for y in ys:
+                lam = discgroup.lam(g, x, y)
+                assert Fraction(sum(a * b for a, b in zip(r, y)) % n, n) == lam
+                assert discgroup._isotropic(form, r, y) == (lam == 0)
+
+
+def test_int_form_rejects_pairing_beyond_exponent():
+    # a pairing value of order 3 on a group of exponent 4 has no integer
+    # form; a hand-built DiscGroup must fail loudly, not round
+    g = discgroup.DiscGroup(orders=(4,), pairing=((Fraction(1, 3),),))
+    with pytest.raises(InvariantViolation):
+        discgroup.metabolizers_of_group(g)
+
+
+def test_annihilator_matches_lam_scan(rng):
+    # the annihilator of H is the scan of G for elements λ-orthogonal to
+    # every element of H, also off the generators
+    groups = [_conjugate_group(rng, gram) for gram in (
+        _diag((2, 2, 4, 4)), _diag((3, 9)), _diag((5, 25)), A2_A2)]
+    groups += [_hyperbolic(2, 2), _hyperbolic(3, 2)]
+    groups += [discgroup.disc_group(lattice_mod.make_lattice(
+        random_posdef_gram(rng, max_rank=4, max_disc=100))) for _ in range(6)]
+    checked = 0
+    for g in groups:
+        elems = list(g.elements())
+        for _ in range(3):
+            h = discgroup.make_subgroup(
+                g, discgroup.closure(g, rng.sample(elems, min(2, len(elems)))))
+            expect = [x for x in elems
+                      if all(discgroup.lam(g, x, y) == 0 for y in h.elements)]
+            assert discgroup.annihilator(g, h) == discgroup.make_subgroup(
+                g, expect)
+            checked += 1
+    assert checked == 3 * len(groups)
+
+
+@pytest.mark.parametrize("p, m, count", [
+    (2, 1, 3), (2, 2, 15), (2, 3, 135), (3, 2, 8), (5, 2, 12)])
+def test_lagrangian_counts_of_hyperbolic_forms(p, m, count):
+    # ∏_{i=1}^{m}(2ⁱ + 1) Lagrangians for the alternating form on
+    # (Z/2)^{2m}, and ∏_{i=0}^{m-1}(pⁱ + 1) for the hyperbolic form on
+    # (Z/p)^{2m}, p odd: counts that hold whatever the search does
+    g = _hyperbolic(p, m)
+    mets = discgroup.metabolizers_of_group(g)
+    assert len(mets) == count
+    assert len({met.elements for met in mets}) == count
+    for met in mets:
+        assert met.order == p ** m
+        assert all(discgroup.lam(g, x, y) == 0
+                   for x in met.elements for y in met.elements)
+
+
+def test_subgroup_search_never_calls_lam(monkeypatch):
+    # the searches and the obstructions built on them test isotropy on the
+    # integer form; discgroup.lam is the Fraction reference only
+    def forbidden(*args):
+        raise AssertionError("discgroup.lam called")
+
+    monkeypatch.setattr(discgroup, "lam", forbidden)
+    g = discgroup.disc_group(lattice_mod.make_lattice(_diag((2, 2, 4, 4))))
+    assert len(discgroup.metabolizers_of_group(g)) > 0
+    assert len(discgroup.subgroups_of_order(g, 8)) > 0
+    met = discgroup.metabolizers_of_group(_hyperbolic(3, 2))[0]
+    assert discgroup.annihilator(_hyperbolic(3, 2), met) == met
+    s39 = topo.load_dtable(str(DATA_DIR / "s39_t23.json"))
+    assert topo.rb_correction_obstruction(s39).verdict == "obstructed"
+    z = topo.load_dtable(str(DATA_DIR / "z_example.json"))
+    assert topo.definite_filling_obstruction(z).verdict == "obstructed"
