@@ -4,18 +4,23 @@ Two-level grammar (`lattice ...`, `topo ...`) mirroring the library split.
 `COMMANDS` maps each domain to its commands and each command to the function
 that adds its own arguments.  A command line that names a domain and one of
 its commands is parsed by that command's parser alone, built with the shared
-flags and named `latcorr <domain> <command>`; the full tree from
-`build_parser` parses every other command line, which is where the top-level
-and domain help and the usage errors for a missing or unknown domain or
-command come from.  The top-level and domain parsers have no option but
-`-h`, so the full tree hands the same arguments to the same command parser,
-and both paths give the same result, help text and error.
+flags and named `latcorr <domain> <command>`.  `_command_parser` builds it
+once per process and keeps it, so repeated `main` calls in one process
+reuse it and a one-shot run builds exactly one; the key comes from
+`COMMANDS`, so at most one parser per command is kept.  The full tree from
+`build_parser`, built afresh each time, parses every other command line,
+which is where the top-level and domain help and the usage errors for a
+missing or unknown domain or command come from.  The top-level and domain
+parsers have no option but `-h`, so the full tree hands the same arguments
+to the same command parser, and both paths give the same result, help text
+and error.
 Exit codes: 0 = embeds / unobstructed / consistent, 2 = does not embed /
 obstructed / inconsistent, 3 = inconclusive (even-order caveat), 1 = error.
 Errors print a single machine-parsable line: "error: <CODE>: <message>".
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,16 +103,23 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _command_parser(domain, command):
+    """The parser of one command in `COMMANDS`, built once per process.
+    Parsing leaves a parser unchanged, so the kept one answers every later
+    command line as a fresh one would."""
+    p = _Parser(prog=f"latcorr {domain} {command}")
+    _common(p)
+    COMMANDS[domain][command](p)
+    p.set_defaults(domain=domain, command=command)
+    return p
+
+
 def parse_args(argv):
     """Parse argv with the one command parser it names, or with the full
     tree when it names no command."""
     if len(argv) >= 2 and argv[1] in COMMANDS.get(argv[0], ()):
-        domain, command = argv[:2]
-        p = _Parser(prog=f"latcorr {domain} {command}")
-        _common(p)
-        COMMANDS[domain][command](p)
-        p.set_defaults(domain=domain, command=command)
-        return p.parse_args(argv[2:])
+        return _command_parser(argv[0], argv[1]).parse_args(argv[2:])
     return build_parser().parse_args(argv)
 
 

@@ -119,12 +119,13 @@ def coset_min(a, t):
 
 def _unimodular_gram(obj):
     """(int Gram, int basis rows H, denominator e) for a unimodular positive
-    definite lattice or overlattice; its basis in L-coords is H/e."""
+    definite lattice or overlattice; its basis in L-coords is H/e.  H is
+    None for a lattice, whose basis is its own."""
     if isinstance(obj, Lattice):
         gram = obj.gram_rows()
         if abs(exactmat.det(gram)) != 1:
             raise InputError("correction term requires a unimodular lattice")
-        return gram, exactmat.identity(obj.rank), 1
+        return gram, None, 1
     if isinstance(obj, OverLattice):
         if not is_unimodular(obj):
             raise InputError("correction term requires a unimodular overlattice")
@@ -143,13 +144,13 @@ def min_char_square(obj):
     """
     gram, basis, denom = _unimodular_gram(obj)
     n = len(gram)
-    rows = exactmat.identity(n)  # basis of the rest, in obj's basis
+    rows = None  # basis of the rest, in obj's basis; None means the identity
     chi = [0] * n  # the witness in obj's basis
     minimum = 0
     nodes = 0
-    while rows:
+    while rows is None or rows:
         t, gram = exactmat.lll_gram(gram)
-        rows = exactmat.matmul(t, rows)
+        rows = t if rows is None else exactmat.matmul(t, rows)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
             break
@@ -173,8 +174,9 @@ def min_char_square(obj):
         minimum += int(4 * val)
         for xi, ui, row in zip(x0, u, rows):
             chi = [x + (xi + 2 * ui) * y for x, y in zip(chi, row)]
-    witness = [Fraction(x, denom) for x in exactmat.mat_vec(
-        exactmat.transpose(basis), chi)]
+    if basis is not None:
+        chi = exactmat.mat_vec(exactmat.transpose(basis), chi)
+    witness = [Fraction(x, denom) for x in chi]
     return MinimizationResult(minimum=minimum, witness=tuple(witness),
                               nodes_visited=nodes)
 
@@ -222,7 +224,7 @@ def constrained_min(lat, u):
     twice = exactmat.scale(exactmat.identity(n), 2)
     rows = exactmat.hnf(kernel + twice)[0][:n]  # basis of Λ in U's basis
     r = exactmat.matmul(rows, h)  # e·(basis of Λ in L-coords)
-    a = exactmat.matmul(exactmat.matmul(r, gram), exactmat.transpose(r))
+    a = exactmat.gram_of_rows(r, gram)
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g

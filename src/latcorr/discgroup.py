@@ -116,8 +116,7 @@ def disc_group(lat):
     cols = [[row[i] for row in dec.v] for i in keep]  # Vᵀ, kept rows
     gens = [tuple(Fraction(x, d) for x in col) for col, d in zip(cols, orders)]
     # λ(g_i, g_j) = −(Vᵀ·G·V)_ij/(d_i·d_j) mod 1, from integer columns
-    vgv = exactmat.matmul(exactmat.matmul(cols, gram),
-                          exactmat.transpose(cols))
+    vgv = exactmat.gram_of_rows(cols, gram)
     pairing = tuple(
         tuple(Fraction(-x % (di * dj), di * dj) for x, dj in zip(row, orders))
         for row, di in zip(vgv, orders)

@@ -45,8 +45,25 @@ def transpose(a):
 
 
 def matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """A·B by row combination: row i is the sum of a_ik·b_k over the
+    nonzero a_ik, so a zero coefficient costs nothing.  Put the sparser
+    factor (an HNF) on the left."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = None
+        for x, bk in zip(row, b):
+            if x:
+                acc = ([x * y for y in bk] if acc is None
+                       else [s + x * y for s, y in zip(acc, bk)])
+        out.append([0] * cols if acc is None else acc)
+    return out
+
+
+def gram_of_rows(x, g):
+    """X·G·Xᵀ for a symmetric G, formed as X·(X·G)ᵀ so that X, the factor
+    that is sparse in practice, is on the left of both products."""
+    return matmul(x, transpose(matmul(x, g)))
 
 
 def mat_vec(a, v):

@@ -38,8 +38,7 @@ def _canonical(lat, rows, denom):
     g = gcd(denom, *(x for row in h for x in row))
     h = [[x // g for x in row] for row in h]
     denom //= g
-    gram = exactmat.matmul(exactmat.matmul(h, lat.gram_rows()),
-                           exactmat.transpose(h))
+    gram = exactmat.gram_of_rows(h, lat.gram_rows())
     return OverLattice(rows=tuple(map(tuple, h)), denom=denom,
                        scaled_gram=tuple(map(tuple, gram)),
                        index=index)

@@ -67,6 +67,13 @@ def random_unimodular(rng, n, ops=6):
     return t
 
 
+def textbook_matmul(a, b):
+    """Independent product oracle: (A·B)_ij = Σ_t a_it·b_tj."""
+    cols = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)]
+            for row in a]
+
+
 def basis_change(gram, t):
     return exactmat.matmul(exactmat.matmul(t, gram), exactmat.transpose(t))
 

@@ -245,6 +245,28 @@ def test_command_parser_matches_full_tree():
     assert differ == []
 
 
+def test_cached_command_parsers_match_a_fresh_tree():
+    """Each command line parsed twice on the cached path, with a usage error
+    on the same parser in between, gives what a fresh full tree gives."""
+    cli._command_parser.cache_clear()
+
+    def fresh(argv):
+        return cli.build_parser().parse_args(argv)
+
+    differ = []
+    for argv in PARSER_CASES:
+        names_command = (len(argv) >= 2
+                         and argv[1] in cli.COMMANDS.get(argv[0], ()))
+        bad = (argv[:2] if names_command else ["lattice", "info"]) + [
+            "x.json", "--format", "xml"]
+        first = _parse_outcome(cli.parse_args, argv)
+        assert _parse_outcome(cli.parse_args, bad)[0] == "error"
+        second = _parse_outcome(cli.parse_args, argv)
+        if not first == second == _parse_outcome(fresh, argv):
+            differ.append(argv)
+    assert differ == []
+
+
 @pytest.mark.parametrize("argv", [
     ["lattice", "info", "nine.json"], ["lattice", "metabolizers", "nine.json"],
     ["lattice", "dset", "nine.json"], ["lattice", "embed-check", "nine.json"],
@@ -254,6 +276,9 @@ def test_command_parser_matches_full_tree():
     ["topo", "chain", "--filling", "nine.json", "--dtable", "s39_t23.json"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_one_parser_per_command(capsys, monkeypatch, argv):
+    """A fresh process builds one parser for the command; a repeated call
+    in the same process builds none."""
+    cli._command_parser.cache_clear()
     built = []
     real = cli._Parser.__init__
 
@@ -262,11 +287,13 @@ def test_one_parser_per_command(capsys, monkeypatch, argv):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
-    code, _, err = run_cli(capsys, *[str(DATA_DIR / a) if a.endswith(".json")
-                                     else a for a in argv])
-    assert code in (0, 2)
-    assert err == ""
+    argv = [str(DATA_DIR / a) if a.endswith(".json") else a for a in argv]
+    first = run_cli(capsys, *argv)
+    assert first[0] in (0, 2)
+    assert first[2] == ""
     assert built == [f"latcorr {argv[0]} {argv[1]}"]
+    assert run_cli(capsys, *argv) == first
+    assert len(built) == 1
 
 
 def test_json_output_is_deterministic(capsys):

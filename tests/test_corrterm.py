@@ -303,6 +303,30 @@ def test_conjugate_of_i16_needs_no_search():
     assert res.nodes_visited == 0
 
 
+def test_min_char_square_multiplies_by_no_identity(monkeypatch):
+    # the first LLL transform is the basis of the rest, and a lattice's
+    # witness is χ itself, so no product has an identity factor
+    rng = random.Random(17)
+    real = exactmat.matmul
+    factors = []
+
+    def spy(a, b):
+        factors.extend((a, b))
+        return real(a, b)
+
+    for n in range(1, 17):
+        for ops in (0, 2, 4 * n):
+            gram = basis_change(exactmat.identity(n),
+                                random_unimodular(rng, n, ops=ops))
+            lat = lattice_mod.make_lattice(gram)
+            monkeypatch.setattr(exactmat, "matmul", spy)
+            res = corrterm.min_char_square(lat)
+            monkeypatch.undo()
+            assert res.minimum == n and res.nodes_visited == 0
+            _assert_witness(lat, exactmat.identity(n), res)
+    assert not any(f == exactmat.identity(len(f)) for f in factors)
+
+
 def _quad(a, s):
     return sum(s[i] * a[i][j] * s[j] for i in range(len(s)) for j in range(len(s)))
 

@@ -8,7 +8,8 @@ import pytest
 from latcorr import exactmat
 from latcorr.errors import NotPositiveDefinite, SingularMatrix
 
-from conftest import a8_gram, basis_change, e8_gram, random_unimodular
+from conftest import (a8_gram, basis_change, e8_gram, random_unimodular,
+                      textbook_matmul)
 
 
 def cofactor_det(a):
@@ -351,3 +352,62 @@ def test_ldl_minors_are_leading_determinants():
 def test_ldl_rejects_asymmetric():
     with pytest.raises(ValueError):
         exactmat.ldl([[1, 2], [0, 1]])
+
+
+def _random_matrix(rng, rows, cols, kind, zero_rows=0):
+    def entry():
+        x = rng.randint(-7, 7)
+        return x if kind == "int" else Fraction(x, rng.randint(1, 9))
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(rows), min(zero_rows, rows)):
+        m[i] = [0 * x for x in m[i]]
+    return m
+
+
+def _shapes(rng):
+    """(m, k, n) for A m×k times B k×n: 1×1, 1×n, n×1 factors and random
+    rectangular ones."""
+    for n in range(1, 7):
+        yield from ((1, 1, 1), (1, 1, n), (1, n, 1), (n, 1, 1), (n, 1, n),
+                    (1, n, n), (n, n, 1))
+    for _ in range(40):
+        yield rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+
+
+def _hnf_like(rng, n):
+    """Upper triangular, positive pivots, mostly zero above them."""
+    h, _ = exactmat.hnf([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
+                         for _ in range(n)] + exactmat.scale(
+                             exactmat.identity(n), rng.choice((2, 3, 6))))
+    return h[:n]
+
+
+@pytest.mark.parametrize("kind_a, kind_b", [
+    ("int", "int"), ("fraction", "fraction"), ("fraction", "int"),
+    ("int", "fraction")])
+def test_matmul_matches_textbook_product(kind_a, kind_b):
+    rng = random.Random(41)
+    for m, k, n in _shapes(rng):
+        a = _random_matrix(rng, m, k, kind_a, zero_rows=rng.randint(0, m))
+        b = _random_matrix(rng, k, n, kind_b, zero_rows=rng.randint(0, k))
+        assert exactmat.matmul(a, b) == textbook_matmul(a, b)
+    for n in range(1, 10):
+        b = _random_matrix(rng, n, n, kind_b)
+        for a in (exactmat.identity(n), exactmat.zeros(n, n),
+                  _hnf_like(rng, n)):
+            assert exactmat.matmul(a, b) == textbook_matmul(a, b)
+            assert exactmat.matmul(b, a) == textbook_matmul(b, a)
+        assert exactmat.matmul(exactmat.identity(n), b) == b
+
+
+def test_gram_of_rows_matches_the_triple_product():
+    rng = random.Random(42)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = _random_symmetric(rng, n, -9, 9)
+        for x in (_random_matrix(rng, rng.randint(1, 9), n, "int",
+                                 zero_rows=rng.randint(0, 2)),
+                  _hnf_like(rng, n), exactmat.identity(n)):
+            assert exactmat.gram_of_rows(x, g) == textbook_matmul(
+                textbook_matmul(x, g), exactmat.transpose(x))

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from latcorr import discgroup, lattice as lattice_mod, oracle
+from latcorr import discgroup, exactmat, lattice as lattice_mod, oracle
 from latcorr.overlattice import (_canonical, dual_of, index_check, int_gram,
                                  is_integral, is_unimodular,
                                  overlattice as build_overlattice)
 from latcorr.errors import NotIntegral
 
-from conftest import a8_gram, d4_gram, random_posdef_gram
+from conftest import a8_gram, d4_gram, random_posdef_gram, textbook_matmul
 
 
 def _trivial_subgroup(g):
@@ -174,3 +174,15 @@ def test_dual_of_overlattice_is_overlattice_of_annihilator(
             assert dual_of(lat, u) == build_overlattice(g, ann)
             checked += 1
     assert checked >= 40
+
+
+def test_dual_of_is_unchanged_by_the_product(seeded_overlattices,
+                                             monkeypatch):
+    # dual_of multiplies a Fraction inverse by int rows; with every product
+    # taken as the textbook triple sum it gives the same canonical value
+    duals = [dual_of(lat, u) for lat, _, _, u in seeded_overlattices
+             if is_integral(u)]
+    monkeypatch.setattr(exactmat, "matmul", textbook_matmul)
+    assert duals == [dual_of(lat, u) for lat, _, _, u in seeded_overlattices
+                     if is_integral(u)]
+    assert len(duals) >= 40
