@@ -1,11 +1,11 @@
 """Lattice correction terms by exact characteristic-coset minimization.
 
-The kernel minimizes (u+t)ᵀA(u+t) over integer vectors u for a positive
-definite A, by depth-first branch and bound over the fraction-free LDLᵀ
-factorization, with the form scaled so that every centre, term and bound
-is an integer.  The incumbent bound starts from a greedy coordinate
-rounding, so pruning decisions never need re-checking.  `min_char_square`
-first LLL-reduces the basis and splits off the vectors of square 1, so the
+The kernel minimizes vᵀAv over the integer vectors v ≡ x (mod 2) for a
+positive definite integer A, by depth-first branch and bound over the
+fraction-free LDLᵀ factorization, with the form scaled so that every
+centre, term and bound is an integer.  The incumbent bound starts from a
+greedy coordinate rounding, so pruning decisions never need re-checking.
+`min_char_square` first LLL-reduces the basis and splits off the vectors of square 1, so the
 search only sees the part of the lattice without them; `constrained_min`
 searches its one characteristic coset in a reduced basis.  Both work on
 integer Gram matrices and on integer basis rows over one denominator.
@@ -48,55 +48,50 @@ class DSet:
     contains_zero: bool
 
 
-def coset_min(a, t):
-    """Exact min of (u+t)ᵀ·A·(u+t) over u ∈ Zⁿ, with a minimizing u.
+def coset_min(a, x):
+    """Exact min of vᵀ·A·v over the integer vectors v ≡ x (mod 2), with a
+    minimizing v.
 
-    A is positive definite with int or Fraction entries, and t holds ints
-    or Fractions.  Returns (value, u, nodes) with value a Fraction.
-    Coordinates are fixed from the last index down; each level enumerates
-    candidates outward from the real centre and prunes once the partial
-    sum reaches the incumbent.
+    A is a positive definite integer matrix and x an integer vector.
+    Returns (value, v, nodes), all ints.  With v = 2u + x, coordinates u_i
+    are fixed from the last index down; each level enumerates candidates
+    outward from the real centre and prunes once the partial sum reaches
+    the incumbent.
 
-    The search runs on integers only.  A rational A is scaled to integers
-    once and factored by the fraction-free `exactmat.ldl`; with q the
-    common denominator of t, the form is scaled by q²·lcm(d_i·d_{i+1}),
-    so that centres, terms and the incumbent are all integers.  The value
-    is divided back once, on return.
+    The search runs on integers only: A is factored by the fraction-free
+    `exactmat.ldl`, and the form is scaled by lcm(d_i·d_{i+1}) so that
+    centres, terms and the incumbent are all integers.  The value is
+    divided back once, on return.
     """
-    n = len(t)
-    den_a = lcm(1, *(x.denominator for row in a for x in row))
-    d, lam = exactmat.ldl([[x.numerator * (den_a // x.denominator)
-                            for x in row] for row in a])
-    q = lcm(1, *(x.denominator for x in t))
-    tq = [x.numerator * (q // x.denominator) for x in t]  # q·t
+    n = len(x)
+    d, lam = exactmat.ldl(a)
     scale = lcm(1, *(d[i] * d[i + 1] for i in range(n)))
-    # at level i, with C = q·d_{i+1}·c the scaled centre offset, the
+    # at level i, with C = 2·d_{i+1}·c the scaled centre offset, the
     # scaled term is w[i]·(e[i]·u_i + C)²
     w = [scale // (d[i] * d[i + 1]) for i in range(n)]
-    e = [q * d[i + 1] for i in range(n)]
+    e = [2 * d[i + 1] for i in range(n)]
     cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
-    s = [0] * n  # s[j] = q·(u[j] + t[j]) for fixed levels
-    u = [0] * n
+    v = [0] * n  # v[j] = 2u_j + x_j for fixed levels
 
     def centre(i):
-        return d[i + 1] * tq[i] + sum(map(mul, cols[i], s[i + 1:]))
+        return d[i + 1] * x[i] + sum(map(mul, cols[i], v[i + 1:]))
 
     # greedy rounding for the initial incumbent
     best_val = 0
     for i in reversed(range(n)):
         c = centre(i)
-        u[i] = (e[i] - 2 * c) // (2 * e[i])  # nearest integer to −c/e[i]
-        s[i] = q * u[i] + tq[i]
-        best_val += w[i] * (e[i] * u[i] + c) ** 2
-    best_u = list(u)
+        ui = (e[i] - 2 * c) // (2 * e[i])  # nearest integer to −c/e[i]
+        v[i] = 2 * ui + x[i]
+        best_val += w[i] * (e[i] * ui + c) ** 2
+    best_v = tuple(v)
     nodes = n
 
     def dfs(i, partial):
-        nonlocal best_val, best_u, nodes
+        nonlocal best_val, best_v, nodes
         if i < 0:
             if partial < best_val:
                 best_val = partial
-                best_u = list(u)
+                best_v = tuple(v)
             return
         c = centre(i)
         ei, wi = e[i], w[i]
@@ -108,13 +103,12 @@ def coset_min(a, t):
                 term = wi * (ei * ui + c) ** 2
                 if partial + term >= best_val:
                     break
-                u[i] = ui
-                s[i] = q * ui + tq[i]
+                v[i] = 2 * ui + x[i]
                 dfs(i - 1, partial + term)
                 ui += step
 
     dfs(n - 1, 0)
-    return Fraction(best_val, q * q * scale * den_a), tuple(best_u), nodes
+    return best_val // scale, best_v, nodes
 
 
 def _unimodular_gram(obj):
@@ -168,12 +162,10 @@ def min_char_square(obj):
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
         x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
                                            enumerate(gram)])
-        val, u, nodes = coset_min(gram, [Fraction(x, 2) for x in x0])
-        if (4 * val).denominator != 1:
-            raise InvariantViolation("characteristic minimum is not an integer")
-        minimum += int(4 * val)
-        for xi, ui, row in zip(x0, u, rows):
-            chi = [x + (xi + 2 * ui) * y for x, y in zip(chi, row)]
+        val, v, nodes = coset_min(gram, x0)
+        minimum += val
+        for vi, row in zip(v, rows):
+            chi = [x + vi * y for x, y in zip(chi, row)]
     if basis is not None:
         chi = exactmat.mat_vec(exactmat.transpose(basis), chi)
     witness = [Fraction(x, denom) for x in chi]
@@ -240,5 +232,7 @@ def constrained_min(lat, u):
             raise InvariantViolation("2U is not contained in U ∩ 2L*")
         y.append(q)
     z = exactmat.mat_vec(exactmat.transpose(exactmat.hnf(t)[1]), y)
-    val, _, _ = coset_min(a, [Fraction(x, 2) for x in z])
-    return (val / denom - n) / 4
+    # c₀ + Λ is {v/2 : v ≡ z (mod 2)} in that basis, so its minimum
+    # square is min vᵀav/(4·denom)
+    val, _, _ = coset_min(a, z)
+    return (Fraction(val, 4 * denom) - n) / 4

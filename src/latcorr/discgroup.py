@@ -1,9 +1,12 @@
-"""Discriminant groups L*/L with their Q/Z-valued pairing.
+"""Discriminant groups L*/L with their Q/Z-valued pairing, stored on ints.
 
 The group is presented in Smith normal form coordinates: orders
 (d_1, ..., d_k) with d_1 | ... | d_k and d_i > 1, elements as coefficient
-tuples.  Groups may come from a lattice (carrying generator lifts and a
-projection map) or from an external table (orders and pairing only).
+tuples.  With N = d_k the exponent, the pairing is stored as the integer
+table P = N·λ(g_i, g_j) mod N, and a lattice-derived group stores its
+generator lifts as integer rows over the one denominator N, together with
+a projection map.  Groups from an external table carry orders and P only.
+`pairing` and `generators` are the Fraction views of P and of the lifts.
 """
 
 import itertools
@@ -22,8 +25,8 @@ DEFAULT_GROUP_CAP = 10 ** 4
 @dataclass(frozen=True)
 class DiscGroup:
     orders: tuple
-    pairing: tuple  # k×k Fractions in [0, 1)
-    generators: tuple = None  # dual-vector lifts, when lattice-derived
+    form: tuple  # k×k ints P = N·λ(g_i, g_j) mod N, N the exponent
+    lifts: tuple = None  # int rows, g_i = lifts[i]/N, when lattice-derived
     lattice: object = field(default=None, repr=False)
     _proj_u: tuple = field(default=None, repr=False)
     _proj_divisors: tuple = field(default=None, repr=False)
@@ -33,8 +36,26 @@ class DiscGroup:
         return prod(self.orders)
 
     @property
+    def exponent(self):
+        return self.orders[-1] if self.orders else 1
+
+    @property
     def identity(self):
         return (0,) * len(self.orders)
+
+    def _over_exponent(self, rows):
+        n = self.exponent
+        return tuple(tuple(Fraction(x, n) for x in row) for row in rows)
+
+    @property
+    def pairing(self):
+        """λ(g_i, g_j) as Fractions in [0, 1)."""
+        return self._over_exponent(self.form)
+
+    @property
+    def generators(self):
+        """The generator lifts in rational L-coordinates, or None."""
+        return self.lifts and self._over_exponent(self.lifts)
 
     def elements(self):
         return itertools.product(*[range(d) for d in self.orders])
@@ -67,64 +88,54 @@ def element_order(g, x):
 
 
 def lam(g, x, y):
-    """The pairing λ(x, y) as a canonical Fraction in [0, 1)."""
+    """The pairing λ(x, y) as a canonical Fraction in [0, 1), summed over
+    the Fraction view: the reference for `_row` and `_isotropic`."""
+    pairing = g.pairing
     total = Fraction(0)
     for i, xi in enumerate(x):
         if xi:
             for j, yj in enumerate(y):
                 if yj:
-                    total += xi * yj * g.pairing[i][j]
+                    total += xi * yj * pairing[i][j]
     return total % 1
 
 
-def _int_form(g):
-    """(N, P): the exponent N of G and the integer table P = N·λ(g_i, g_j).
-
-    P is exact: λ(g_i, g_j) has order dividing d_i, and d_i | N.  Then
-    N·λ(x, y) ≡ r(x)·y (mod N) for the row r(x) = xᵀP mod N (`_row`), so
-    λ(x, y) = 0 iff that integer dot product vanishes mod N.
-    """
-    n = g.orders[-1] if g.orders else 1
-    table = [[n * v for v in row] for row in g.pairing]
-    if any(v.denominator != 1 for row in table for v in row):
-        raise InvariantViolation("pairing value incompatible with group order")
-    return n, [[v.numerator for v in row] for row in table]
+def _row(g, x):
+    """r(x) = xᵀP mod N.  N·λ(x, y) ≡ r(x)·y (mod N), so λ(x, y) = 0 iff
+    that integer dot product vanishes mod N."""
+    n = g.exponent
+    return tuple(sum(map(mul, x, col)) % n for col in zip(*g.form))
 
 
-def _row(form, x):
-    """r(x) = xᵀP mod N for the integer form (N, P) of `_int_form`."""
-    n, p = form
-    return tuple(sum(a * pj for a, pj in zip(x, col)) % n for col in zip(*p))
-
-
-def _isotropic(form, r, y):
-    """λ(x, y) = 0, given r = r(x)."""
-    return sum(map(mul, r, y)) % form[0] == 0
+def _isotropic(n, r, y):
+    """λ(x, y) = 0, given r = r(x) and the exponent n."""
+    return sum(map(mul, r, y)) % n == 0
 
 
 def disc_group(lat):
     """The discriminant group of a lattice, in SNF coordinates.
 
     Generators are the dual vectors gram⁻¹·U⁻¹·e_i = V·D⁻¹·e_i for the SNF
-    decomposition U·gram·V = D, restricted to elementary divisors d_i > 1.
+    decomposition U·gram·V = D, restricted to elementary divisors d_i > 1;
+    with c_i the i-th column of V, the lift of g_i is (N/d_i)·c_i over N.
     """
     gram = lat.gram_rows()
     dec = exactmat.snf(gram)
     divisors = dec.divisors
     keep = [i for i, d in enumerate(divisors) if d > 1]
     orders = tuple(divisors[i] for i in keep)
+    n = orders[-1] if orders else 1
     cols = [[row[i] for row in dec.v] for i in keep]  # Vᵀ, kept rows
-    gens = [tuple(Fraction(x, d) for x in col) for col, d in zip(cols, orders)]
-    # λ(g_i, g_j) = −(Vᵀ·G·V)_ij/(d_i·d_j) mod 1, from integer columns
-    vgv = exactmat.gram_of_rows(cols, gram)
-    pairing = tuple(
-        tuple(Fraction(-x % (di * dj), di * dj) for x, dj in zip(row, orders))
-        for row, di in zip(vgv, orders)
-    )
+    # N·λ(g_i, g_j) = −N·(Vᵀ·G·V)_ij/(d_i·d_j) mod N, from integer columns
+    form = [[divmod(-n * x, di * dj) for x, dj in zip(row, orders)]
+            for row, di in zip(exactmat.gram_of_rows(cols, gram), orders)]
+    if any(r for row in form for _, r in row):
+        raise InvariantViolation("pairing value incompatible with group order")
     return DiscGroup(
         orders=orders,
-        pairing=pairing,
-        generators=tuple(gens),
+        form=tuple(tuple(p % n for p, _ in row) for row in form),
+        lifts=tuple(tuple(n // d * x for x in col)
+                    for col, d in zip(cols, orders)),
         lattice=lat,
         _proj_u=dec.u,
         _proj_divisors=divisors,
@@ -151,7 +162,9 @@ def group_from_table(orders, pairing):
                 raise InputError("pairing table must be symmetric")
             if (orders[i] * table[i][j]) % 1 != 0:
                 raise InputError("pairing value incompatible with generator order")
-    return DiscGroup(orders=orders, pairing=table)
+    n = max(orders, default=1)
+    return DiscGroup(orders, tuple(tuple(int(n * x) for x in row)
+                                   for row in table))
 
 
 def project(g, v):
@@ -168,14 +181,11 @@ def project(g, v):
 
 def lift(g, x):
     """A dual-vector lift of a group element (sum of generator lifts)."""
-    if g.generators is None:
+    if g.lifts is None:
         raise InputError("group carries no lifts (table-derived)")
-    n = g.lattice.rank
-    coords = [Fraction(0)] * n
-    for a, gen in zip(x, g.generators):
-        if a:
-            coords = [c + a * gc for c, gc in zip(coords, gen)]
-    return tuple(coords)
+    n = g.exponent
+    return tuple(Fraction(sum(a * row[j] for a, row in zip(x, g.lifts)), n)
+                 for j in range(g.lattice.rank))
 
 
 def closure(g, gens):
@@ -224,9 +234,9 @@ def _subgroups(g, m, isotropic):
     candidates = [x for x in g.elements()
                   if x != g.identity and m % element_order(g, x) == 0]
     if isotropic:
-        form = _int_form(g)
-        rows = {x: _row(form, x) for x in candidates}
-        candidates = [x for x in candidates if _isotropic(form, rows[x], x)]
+        n = g.exponent
+        rows = {x: _row(g, x) for x in candidates}
+        candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
     found = set()
     path = [(0, {g.identity}, ())]
     while path:
@@ -237,7 +247,7 @@ def _subgroups(g, m, isotropic):
         for i in range(start, len(candidates)):
             x = candidates[i]
             if x in current or isotropic and not all(
-                    _isotropic(form, rows[x], h) for h in gens):
+                    _isotropic(n, rows[x], h) for h in gens):
                 continue
             grown = closure(g, gens + (x,))
             if m % len(grown) == 0:
@@ -268,8 +278,8 @@ def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
 
 def annihilator(g, h):
     """All x with λ(x, y) = 0 for every y in the subgroup h."""
-    form = _int_form(g)
-    rows = [_row(form, gen) for gen in h.generators]
+    n = g.exponent
+    rows = [_row(g, gen) for gen in h.generators]
     elems = [x for x in g.elements()
-             if all(_isotropic(form, r, x) for r in rows)]
+             if all(_isotropic(n, r, x) for r in rows)]
     return make_subgroup(g, elems)

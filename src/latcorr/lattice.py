@@ -82,10 +82,6 @@ def dual_coords(lat, v):
     return exactmat.mat_vec(lat.gram_rows(), [Fraction(x) for x in v])
 
 
-def in_dual(lat, v):
-    return all(x.denominator == 1 for x in dual_coords(lat, v))
-
-
 def pairing(lat, v, w):
     """The rational value Q(v, w) for v, w in L⊗Q (lattice coordinates)."""
     gv = dual_coords(lat, v)

@@ -48,12 +48,10 @@ def overlattice(grp, m):
     """U(M) = π⁻¹(M) for a subgroup M of a lattice-derived group grp."""
     n = grp.lattice.rank
     # the lift of an element lies in (1/e)·L for the exponent e of the group
-    e = grp.orders[-1] if grp.orders else 1
-    lifts = [[x.numerator * (e // x.denominator) for x in gen]
-             for gen in grp.generators]
+    e = grp.exponent
     rows = [[e * (i == j) for j in range(n)] for i in range(n)]
     for x in m.generators:
-        rows.append([sum(a * v[j] for a, v in zip(x, lifts))
+        rows.append([sum(a * v[j] for a, v in zip(x, grp.lifts))
                      for j in range(n)])
     return _canonical(grp.lattice, rows, e)
 

@@ -31,17 +31,16 @@ class FillingPresentation:
 
 @dataclass(frozen=True)
 class DInvariantTable:
-    orders: tuple
-    pairing: tuple             # linking pairing table, Fractions in [0, 1)
+    group: object              # the linking form, a table-derived DiscGroup
     values: dict               # element tuple -> Fraction d(Y, t)
-    z2_homology_sphere: bool
 
     @property
     def complete(self):
-        return len(self.values) == prod(self.orders)
+        return len(self.values) == self.group.order
 
-    def group(self):
-        return discgroup.group_from_table(self.orders, self.pairing)
+    @property
+    def z2_homology_sphere(self):
+        return all(d % 2 == 1 for d in self.group.orders)
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,13 @@ def _expect(value, kind, what):
     return value
 
 
-def _check_nondegenerate(orders, pairing):
+def _check_nondegenerate(grp):
     """Reject a pairing that is not a linking form, without enumerating G:
-    with N the largest order, x ↦ λ(x, ·) has ∏ N/gcd(N, s_i) values over
-    the Smith divisors s_i of N·pairing, and that must be |G|."""
-    n = max(orders, default=1)
-    dec = exactmat.snf([[int(n * x) for x in row] for row in pairing])
-    if prod(n // gcd(n, s) for s in dec.divisors) != prod(orders):
+    with N the exponent, x ↦ λ(x, ·) has ∏ N/gcd(N, s_i) values over the
+    Smith divisors s_i of the integer form N·λ, and that must be |G|."""
+    n = grp.exponent
+    dec = exactmat.snf(grp.form)
+    if prod(n // gcd(n, s) for s in dec.divisors) != grp.order:
         raise InputError("d-table pairing is degenerate: not a linking form")
 
 
@@ -106,8 +105,8 @@ def load_dtable(path):
                    for d in _expect(obj["orders"], list, "orders"))
     pairing = tuple(tuple(_parse_rational(x) for x in _expect(row, list, "row"))
                     for row in _expect(obj["pairing"], list, "pairing"))
-    discgroup.group_from_table(orders, pairing)  # validates
-    _check_nondegenerate(orders, pairing)
+    grp = discgroup.group_from_table(orders, pairing)
+    _check_nondegenerate(grp)
     values = {}
     for rec in _expect(obj["d"], list, "'d'"):
         if "elem" not in _expect(rec, dict, "record") or "value" not in rec:
@@ -120,12 +119,12 @@ def load_dtable(path):
         if elem in values:
             raise InputError(f"duplicate d-table element {elem}")
         values[elem] = _parse_rational(rec["value"])
+    table = DInvariantTable(group=grp, values=values)
     z2 = _expect(obj["z2_homology_sphere"], bool, "z2_homology_sphere")
-    if z2 != all(d % 2 == 1 for d in orders):
+    if z2 != table.z2_homology_sphere:
         raise InputError(
             "z2_homology_sphere flag contradicts the group orders")
-    return DInvariantTable(orders=orders, pairing=pairing, values=values,
-                           z2_homology_sphere=z2)
+    return table
 
 
 def linking_form_of_filling(q):
@@ -183,7 +182,7 @@ def _table_evidence(table, cap):
         MetabolizerRecord(metabolizer=m,
                           d_values=tuple((e, table.values[e])
                                          for e in m.elements))
-        for m in discgroup.metabolizers_of_group(table.group(), cap=cap))
+        for m in discgroup.metabolizers_of_group(table.group, cap=cap))
 
 
 def rb_correction_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
@@ -228,8 +227,8 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
     _require_complete(table)
     filling = linking_form_of_filling(q)
     grp = filling.group
-    if table.orders != grp.orders or \
-            table.pairing != filling.boundary_pairing:
+    if table.group.orders != grp.orders or \
+            table.group.pairing != filling.boundary_pairing:
         raise GroupMismatch(
             "d-table group or pairing does not match the filling boundary")
     if filling.negated:

@@ -16,32 +16,29 @@ from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
 
 
 def test_coset_min_trivial():
-    val, u, _ = corrterm.coset_min([[Fraction(1)]], [Fraction(0)])
-    assert val == 0 and u == (0,)
+    val, v, _ = corrterm.coset_min([[1]], [0])
+    assert val == 0 and v == (0,)
 
 
 def test_coset_min_half_shift():
-    val, u, _ = corrterm.coset_min([[Fraction(1)]], [Fraction(1, 2)])
-    assert val == Fraction(1, 4)
-    assert u in ((0,), (-1,))
+    val, v, _ = corrterm.coset_min([[1]], [1])
+    assert val == 1
+    assert v in ((1,), (-1,))
+
+
+def _congruent(v, x):
+    return all((a - b) % 2 == 0 for a, b in zip(v, x))
 
 
 def test_coset_min_matches_grid_scan():
     # independent check by scanning a box certainly containing the minimum
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    for t in ((Fraction(1, 3), Fraction(5, 7)),
-              (Fraction(-3, 2), Fraction(9, 4))):
-        val, u, _ = corrterm.coset_min(a, list(t))
-        best = None
-        for u0 in range(-4, 5):
-            for u1 in range(-4, 5):
-                s = [u0 + t[0], u1 + t[1]]
-                q = sum(s[i] * a[i][j] * s[j] for i in range(2) for j in range(2))
-                best = q if best is None else min(best, q)
-        assert val == best
-        s = [u[i] + t[i] for i in range(2)]
-        assert val == sum(s[i] * a[i][j] * s[j]
-                          for i in range(2) for j in range(2))
+    a = [[2, 1], [1, 3]]
+    for x in ((1, 0), (0, 1), (1, 1), (-3, 6)):
+        val, v, _ = corrterm.coset_min(a, list(x))
+        best = min(_quad(a, w) for w in product(range(-5, 6), repeat=2)
+                   if _congruent(w, x))
+        assert val == best == _quad(a, v)
+        assert _congruent(v, x)
 
 
 def test_min_char_square_standard():
@@ -331,40 +328,33 @@ def _quad(a, s):
     return sum(s[i] * a[i][j] * s[j] for i in range(len(s)) for j in range(len(s)))
 
 
-def _random_rational_form(rng, n):
-    """A random positive definite A with Fraction entries, and a random
-    rational shift t."""
+def _random_form(rng, n):
+    """A random positive definite integer A = B·Bᵀ, and a random integer
+    vector x."""
     while True:
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if exactmat.det(b):
             break
-    den = rng.randint(1, 6)
-    a = [[Fraction(x, den) for x in row]
-         for row in exactmat.matmul(b, exactmat.transpose(b))]
-    t = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
-    return a, t
+    a = exactmat.matmul(b, exactmat.transpose(b))
+    return a, [rng.randint(-20, 20) for _ in range(n)]
 
 
-def test_coset_min_matches_grid_scan_on_rational_forms():
-    # every u with (u+t)ᵀA(u+t) ≤ V has |u_i + t_i|² ≤ V·(A⁻¹)_ii, so a box
-    # of that size around −t, with V the value at the rounded −t, holds the
-    # minimum
+def test_coset_min_matches_brute_scan_on_integer_forms():
+    # every v with vᵀAv ≤ V has v_i² ≤ V·(A⁻¹)_ii, so a box of that size,
+    # with V the value returned, holds every v of the class that is as
+    # small; the value is attained at the returned v
     rng = random.Random(51)
     for _ in range(40):
         n = rng.randint(1, 3)
-        a, t = _random_rational_form(rng, n)
-        val, u, _ = corrterm.coset_min(a, t)
-        assert type(val) is Fraction
-        assert val == _quad(a, [u[i] + t[i] for i in range(n)])
-        v = _quad(a, [floor(-x + Fraction(1, 2)) + x for x in t])
+        a, x = _random_form(rng, n)
+        val, v, _ = corrterm.coset_min(a, x)
+        assert type(val) is int and all(type(c) is int for c in v)
+        assert _congruent(v, x) and val == _quad(a, v)
         ainv = exactmat.inverse(a)
-        ranges = []
-        for i in range(n):
-            r = isqrt(-(-v * ainv[i][i] // 1)) + 1
-            ranges.append(range(floor(-t[i]) - r, floor(-t[i]) + r + 2))
-        best = min(_quad(a, [x + y for x, y in zip(w, t)])
-                   for w in product(*ranges))
-        assert val == best
+        # v_i runs over the integers ≡ x_i (mod 2) in [−r − 1, r]
+        box = [range(-r - (r + c) % 2, r + 1, 2) for r, c in
+               zip((isqrt(floor(val * ainv[i][i])) + 1 for i in range(n)), x)]
+        assert val == min(_quad(a, w) for w in product(*box))
 
 
 def _fraction_coset_min(a, t):
@@ -408,16 +398,18 @@ def _fraction_coset_min(a, t):
 
 def test_coset_min_visits_the_same_nodes_as_the_fraction_search(rng):
     # the integer search scales the form, so it must take every pruning
-    # decision the Fraction search takes: same value, witness and nodes
-    cases = [_random_rational_form(rng, rng.randint(1, 6)) for _ in range(30)]
+    # decision the Fraction search at t = x/2 takes: the same value (times
+    # 4), the witness v = 2u + x and the same nodes
+    cases = [_random_form(rng, rng.randint(1, 6)) for _ in range(30)]
     for gram in _unimodular_cases(rng):
         x0, _ = exactmat.solve_mod2(gram, [gram[i][i] for i in range(len(gram))])
-        cases.append((gram, [Fraction(x, 2) for x in x0]))
+        cases.append((gram, x0))
     nodes = 0
-    for a, t in cases:
-        expect = _fraction_coset_min(a, t)
-        assert corrterm.coset_min(a, t) == expect
-        nodes += expect[2]
+    for a, x in cases:
+        val, u, count = _fraction_coset_min(a, [Fraction(c, 2) for c in x])
+        v = tuple(2 * ui + c for ui, c in zip(u, x))
+        assert corrterm.coset_min(a, x) == (4 * val, v, count)
+        nodes += count
     assert nodes > 1000
 
 

@@ -1,10 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from latcorr import discgroup, exactmat, lattice as lattice_mod, topo
-from latcorr.errors import (GroupTooLarge, InputError, InvariantViolation,
-                            NotInDualLattice)
+from latcorr.errors import GroupTooLarge, InputError, NotInDualLattice
 
 from conftest import (DATA_DIR, a8_gram, basis_change, d4_gram,
                       random_posdef_gram, random_unimodular)
@@ -87,9 +87,8 @@ def test_project_and_lift_roundtrip():
         lat = lattice_mod.make_lattice(gram)
         g = discgroup.disc_group(lat)
         for x in g.elements():
-            v = discgroup.lift(g, x)
-            assert lattice_mod.in_dual(lat, v)
-            assert discgroup.project(g, v) == x
+            # project raises NotInDualLattice on a lift outside L*
+            assert discgroup.project(g, discgroup.lift(g, x)) == x
 
 
 def test_project_lift_independence():
@@ -271,7 +270,7 @@ def _hyperbolic(p, m):
     return discgroup.group_from_table((p,) * k, table)
 
 
-def _int_form_groups(rng):
+def _sample_groups(rng):
     lattice_groups = [_conjugate_group(rng, gram) for gram in (
         _diag((2, 2, 4, 4)), _diag((3, 3, 9, 9)), _diag((5, 125)), A2_A2)]
     table_groups = [_hyperbolic(2, 1), _hyperbolic(2, 2), _hyperbolic(3, 2)]
@@ -284,33 +283,57 @@ def test_integer_rows_agree_with_lam(rng):
     # checked on groups up to order 81; on the groups of order 625 and 729
     # (all pairs take about 40 s through the Fraction reference) every
     # element is checked against the basis and a seeded sample
-    groups = _int_form_groups(rng)
+    groups = _sample_groups(rng)
     assert [g.orders for g in groups] == [
         (2, 2, 4, 4), (3, 3, 9, 9), (5, 125), (3, 3),
         (2, 2), (2, 2, 2, 2), (3, 3, 3, 3), ()]
     for g in groups:
-        form = discgroup._int_form(g)
-        n = form[0]
+        n = g.exponent
         assert n == (g.orders[-1] if g.orders else 1)
         elems = list(g.elements())
         basis = [tuple(int(i == j) for j in range(len(g.orders)))
                  for i in range(len(g.orders))]
         ys = elems if len(elems) <= 81 else basis + rng.sample(elems, 8)
         for x in elems:
-            r = discgroup._row(form, x)
+            r = discgroup._row(g, x)
             assert all(0 <= v < n for v in r)
             for y in ys:
                 lam = discgroup.lam(g, x, y)
                 assert Fraction(sum(a * b for a, b in zip(r, y)) % n, n) == lam
-                assert discgroup._isotropic(form, r, y) == (lam == 0)
+                assert discgroup._isotropic(n, r, y) == (lam == 0)
 
 
-def test_int_form_rejects_pairing_beyond_exponent():
-    # a pairing value of order 3 on a group of exponent 4 has no integer
-    # form; a hand-built DiscGroup must fail loudly, not round
-    g = discgroup.DiscGroup(orders=(4,), pairing=((Fraction(1, 3),),))
-    with pytest.raises(InvariantViolation):
-        discgroup.metabolizers_of_group(g)
+def _holds_ints(value):
+    if isinstance(value, (tuple, list)):
+        return all(_holds_ints(v) for v in value)
+    return type(value) is int
+
+
+def test_group_fields_hold_ints(rng):
+    # a group stores the integer form N·λ and integer lifts over N; the
+    # Fractions are views.  Rebuilding a lattice group from its own
+    # pairing table gives the same orders and form
+    lattice_groups = [discgroup.disc_group(lattice_mod.make_lattice(
+        random_posdef_gram(rng, max_rank=5, max_disc=200))) for _ in range(20)]
+    lattice_groups += _sample_groups(rng)[:4]
+    table_groups = [discgroup.group_from_table(g.orders, g.pairing)
+                    for g in lattice_groups]
+    table_groups += [_hyperbolic(2, 2), _hyperbolic(3, 2),
+                     discgroup.group_from_table((2, 4), [["0", "1/2"],
+                                                         ["1/2", "3/4"]])]
+    assert sum(len(g.orders) for g in lattice_groups) >= 30
+    for g in lattice_groups + table_groups:
+        for f in dataclasses.fields(g):
+            value = getattr(g, f.name)
+            if f.name != "lattice" and value is not None:
+                assert _holds_ints(value), f.name
+        n = g.exponent
+        assert g.pairing == tuple(tuple(Fraction(x, n) for x in row)
+                                  for row in g.form)
+    for g, h in zip(lattice_groups, table_groups):
+        assert (h.orders, h.form, h.lifts) == (g.orders, g.form, None)
+        assert g.generators == tuple(tuple(Fraction(x, g.exponent)
+                                           for x in row) for row in g.lifts)
 
 
 def test_annihilator_matches_lam_scan(rng):

@@ -27,7 +27,7 @@ def _nine_table(tmp_path, vals):
 
 def test_load_dtable_s39():
     table = topo.load_dtable(str(DATA_DIR / "s39_t23.json"))
-    assert table.orders == (9,)
+    assert table.group.orders == (9,)
     assert table.z2_homology_sphere
     assert table.complete
     assert table.values[(0,)] == 2
@@ -52,6 +52,24 @@ def test_load_dtable_validation(tmp_path):
         p.write_text(json.dumps(obj))
         with pytest.raises(exc):
             topo.load_dtable(str(p))
+
+
+def test_dtable_group_is_built_once(tmp_path, monkeypatch):
+    # load_dtable keeps the group it validated, and both table-only
+    # obstructions search that group instead of rebuilding it
+    calls = []
+    real = discgroup.group_from_table
+
+    def counting(orders, pairing):
+        calls.append(orders)
+        return real(orders, pairing)
+
+    monkeypatch.setattr(discgroup, "group_from_table", counting)
+    table = topo.load_dtable(_nine_table(tmp_path, ["0"] * 9))
+    assert table.group.form == ((8,),)
+    topo.rb_correction_obstruction(table)
+    topo.definite_filling_obstruction(table)
+    assert calls == [(9,)]
 
 
 def test_linking_form_positive_filling():
