@@ -26,9 +26,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import (corrterm, discgroup, exactmat, lattice as lattice_mod, oracle,
-               topo)
-from .errors import LatcorrError, OracleDisagreement, SearchTooLarge
+from . import corrterm, discgroup, lattice as lattice_mod, oracle, topo
+from .errors import (InvariantViolation, LatcorrError, OracleDisagreement,
+                     SearchTooLarge)
 
 VERDICT_EXIT = {"unobstructed": 0, "obstructed": 2, "inconclusive": 3}
 
@@ -143,12 +143,15 @@ def _check_embed_oracle(lat, embeds, notes):
 
 
 def _check_char_min_oracle(obj, minimum, notes):
-    gram = oracle.gram_of(obj)  # unimodular by now
-    ginv = exactmat.inverse(gram)
-    w0 = [gram[i][i] % 2 for i in range(len(gram))]
-    bound = sum(w0[i] * ginv[i][j] * w0[j]
-                for i in range(len(gram)) for j in range(len(gram)))
-    brute = oracle.brute_char_min(obj, int(bound))
+    # a lower minimum lies in range, and an understated one leaves it empty
+    try:
+        brute = oracle.brute_char_min(obj, minimum)
+    except SearchTooLarge:
+        notes.append("oracle: brute_char_min skipped (beyond caps)")
+        return
+    except InvariantViolation as e:
+        raise OracleDisagreement(
+            f"brute_char_min rejects the optimized minimum {minimum}: {e}")
     if brute != minimum:
         raise OracleDisagreement(
             f"brute_char_min found {brute}, optimized path found {minimum}")
@@ -254,7 +257,8 @@ def _report_json(report):
 
 def _run_topo(args):
     if args.command == "linking-form":
-        filling = topo.linking_form_of_filling(_load_gram(args.file))
+        filling = topo.linking_form_of_filling(
+            lattice_mod.read_gram(args.file))
         return 0, {
             "orders": list(filling.group.orders),
             "pairing": _pairing_json(filling.boundary_pairing),
@@ -269,18 +273,10 @@ def _run_topo(args):
         return VERDICT_EXIT[report.verdict], _report_json(report)
     if args.command == "chain":
         table = topo.load_dtable(args.dtable)
-        report = topo.chain_check(_load_gram(args.filling), table,
+        report = topo.chain_check(lattice_mod.read_gram(args.filling), table,
                                   cap=args.max_group)
         return VERDICT_EXIT[report.verdict], _report_json(report)
     raise LatcorrError(f"unknown topo command {args.command}")
-
-
-def _load_gram(path):
-    lat = lattice_mod.load_lattice(path)
-    gram = lat.gram_rows()
-    if lat.negated:
-        gram = [[-x for x in row] for row in gram]
-    return gram
 
 
 def _render_text(payload, out):

@@ -198,7 +198,7 @@ def constrained_min(lat, u):
     L exactly when (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by
     an element of Λ = U ∩ 2L*, so the constraint set is the one coset
     c₀ + Λ; it is searched once, in an LLL-reduced basis of Λ, where c₀ is
-    placed by integer solves.
+    placed by an integer triangular solve and one solve over F₂.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -214,7 +214,7 @@ def constrained_min(lat, u):
         raise InvariantViolation("no characteristic covector lies in U")
     c0, kernel = sol
     twice = exactmat.scale(exactmat.identity(n), 2)
-    rows = exactmat.hnf(kernel + twice)[0][:n]  # basis of Λ in U's basis
+    rows = exactmat.hnf(kernel + twice)[:n]  # basis of Λ in U's basis
     r = exactmat.matmul(rows, h)  # e·(basis of Λ in L-coords)
     a = exactmat.gram_of_rows(r, gram)
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
@@ -223,7 +223,7 @@ def constrained_min(lat, u):
     t, a = exactmat.lll_gram([[x // g for x in row] for row in a])
     # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
     # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
-    # HNF rows, then z = y·T⁻¹, with T⁻¹ the transform of hnf(T) = I
+    # HNF rows; coset_min reads z mod 2 only, so z·T ≡ y is solved over F₂
     y = []
     for j in range(n):
         q, r = divmod(2 * c0[j] - sum(y[i] * rows[i][j] for i in range(j)),
@@ -231,7 +231,7 @@ def constrained_min(lat, u):
         if r:
             raise InvariantViolation("2U is not contained in U ∩ 2L*")
         y.append(q)
-    z = exactmat.mat_vec(exactmat.transpose(exactmat.hnf(t)[1]), y)
+    z, _ = exactmat.solve_mod2(exactmat.transpose(t), y)
     # c₀ + Λ is {v/2 : v ≡ z (mod 2)} in that basis, so its minimum
     # square is min vᵀav/(4·denom)
     val, _, _ = coset_min(a, z)

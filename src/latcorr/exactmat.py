@@ -3,10 +3,11 @@
 Matrices are plain lists of lists of Python ints (arbitrary precision).
 Factorizations are fraction-free: `ldl` and `lll_gram` carry leading minors
 and scaled Gram–Schmidt coefficients as integers, `det` is Bareiss
-elimination, and `hnf`/`snf` are unimodular row and column operations.  Only
-`inverse` and `rational_cholesky` return fractions.Fraction; the second is
-kept as the oracles' independent LDLᵀ reference.  No floating point appears
-anywhere in this module.
+elimination, `hnf` returns the canonical row basis H alone, `snf` returns
+both unimodular transforms, and `solve_mod2` places a class mod 2, so no
+transform is inverted.  Only `inverse` and `rational_cholesky` return
+fractions.Fraction; the second is kept as the oracles' independent LDLᵀ
+reference.  No floating point appears anywhere in this module.
 """
 
 from dataclasses import dataclass
@@ -124,16 +125,13 @@ def inverse(a):
 
 
 def hnf(a):
-    """Row Hermite normal form.
-
-    Returns (H, T) with H = T·A, T unimodular, pivots positive, and entries
-    above each pivot reduced into [0, pivot).  Zero rows sink to the bottom.
-    Pivot selection takes the smallest nonzero entry to limit coefficient
-    growth (adequate at desk scale).
+    """Row Hermite normal form H of A, the canonical basis of its row
+    lattice: pivots positive, entries above each pivot reduced into
+    [0, pivot), zero rows at the bottom.  Pivot selection takes the smallest
+    nonzero entry to limit coefficient growth (adequate at desk scale).
     """
     rows, cols = dims(a)
     h = copy_matrix(a)
-    t = identity(rows)
     r = 0
     for c in range(cols):
         while True:
@@ -142,13 +140,11 @@ def hnf(a):
                 break
             _, p = min(live)
             h[r], h[p] = h[p], h[r]
-            t[r], t[p] = t[p], t[r]
             done = True
             for i in range(r + 1, rows):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
                     if h[i][c] != 0:
                         done = False
             if done:
@@ -156,16 +152,14 @@ def hnf(a):
         if r < rows and h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                t[r] = [-x for x in t[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
             r += 1
             if r == rows:
                 break
-    return h, t
+    return h
 
 
 @dataclass(frozen=True)

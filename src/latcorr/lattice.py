@@ -60,8 +60,8 @@ def make_lattice(gram):
     raise IndefiniteForm("form is neither positive nor negative definite")
 
 
-def load_lattice(path):
-    """Load a lattice from a JSON file {"gram": [[ints]]}."""
+def read_gram(path):
+    """The unchecked Gram matrix of a JSON file {"gram": [[ints]]}."""
     try:
         with open(path) as f:
             obj = json.load(f)
@@ -69,7 +69,12 @@ def load_lattice(path):
         raise InputError(f"cannot read lattice file {path}: {e}")
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError("lattice file must be a JSON object with a 'gram' key")
-    return make_lattice(obj["gram"])
+    return obj["gram"]
+
+
+def load_lattice(path):
+    """Load a lattice from a JSON file {"gram": [[ints]]}."""
+    return make_lattice(read_gram(path))
 
 
 def discriminant(lat):

@@ -170,7 +170,7 @@ def is_standard(obj, rank_cap=STANDARD_RANK_CAP):
     units = [u for u, val in _enumerate_coset(gfrac, t, Fraction(1)) if val == 1]
     if len(units) != 2 * n:
         return False
-    h, _ = exactmat.hnf([list(v) for v in units])
+    h = exactmat.hnf([list(v) for v in units])
     d = 1
     for i in range(n):
         d *= h[i][i]

@@ -30,7 +30,7 @@ def _canonical(lat, rows, denom):
     gcd, so that denom is the exponent of L'/L and H is the HNF of the
     lattice denom·L' ⊂ L: equal lattices give equal values."""
     n = lat.rank
-    h = exactmat.hnf(rows)[0][:n]
+    h = exactmat.hnf(rows)[:n]
     pivots = prod(h[i][i] for i in range(n))
     if pivots == 0 or denom ** n % pivots != 0:
         raise InvariantViolation("spanning rows do not contain the lattice")

@@ -224,8 +224,8 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
     of the given filling.  When some metabolizer has min d(Y,t) ≥ 0 and the
     chain holds, the filling lattice embeds in the standard lattice.
     """
-    _require_complete(table)
     filling = linking_form_of_filling(q)
+    _require_complete(table)
     grp = filling.group
     if table.group.orders != grp.orders or \
             table.group.pairing != filling.boundary_pairing:

@@ -1,16 +1,19 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from latcorr import cli, corrterm, discgroup, exactmat, topo
-from latcorr.errors import LatcorrError
+from latcorr import (cli, corrterm, discgroup, exactmat, lattice as lattice_mod,
+                     oracle, topo)
+from latcorr.errors import LatcorrError, SearchTooLarge
 
 from conftest import DATA_DIR
 
@@ -471,3 +474,107 @@ def test_malformed_dtable_is_an_input_error(capsys, tmp_path, table):
     assert out == ""
     assert err.startswith("error: InputError: ")
     assert err.count("\n") == 1
+
+
+def test_dinv_oracle_on_a_conjugate_of_e8_plus_i1(capsys, tmp_path):
+    # the search runs up to the claimed minimum, so a rank-9 form whose
+    # characteristic covector diag(G) mod 2 is long still checks at once
+    from test_corrterm import _unimodular_cases
+    gram = next(itertools.islice(_unimodular_cases(random.Random(0)), 7, None))
+    assert len(gram) == 9
+    p = tmp_path / "e8_i1.json"
+    p.write_text(json.dumps({"gram": gram}))
+    code, payload = run_json(capsys, "lattice", "dinv", str(p), "--oracle")
+    assert code == 0
+    assert payload["min_char_square"] == 1 and payload["d"] == "-2"
+    assert payload["notes"] == ["oracle: brute_char_min agrees"]
+
+
+def test_char_min_oracle_beyond_caps_is_skipped(capsys, monkeypatch):
+    def too_large(obj, bound):
+        raise SearchTooLarge("enumeration exceeded the node cap")
+
+    monkeypatch.setattr(oracle, "brute_char_min", too_large)
+    code, payload = run_json(capsys, "lattice", "dinv",
+                             str(DATA_DIR / "e8.json"), "--oracle")
+    assert code == 0
+    assert payload["notes"] == ["oracle: brute_char_min skipped (beyond caps)"]
+    code, payload = run_json(capsys, "lattice", "dset",
+                             str(DATA_DIR / "four.json"), "--oracle")
+    assert code == 0
+    assert "oracle: brute_char_min skipped (beyond caps)" in payload["notes"]
+
+
+@pytest.mark.parametrize("shift", [-2, 2], ids=["understated", "overstated"])
+def test_char_min_oracle_rejects_a_wrong_minimum(capsys, monkeypatch,
+                                                 tmp_path, shift):
+    # the characteristic minimum of I₃ is 3; below it no characteristic
+    # vector lies in the searched range, above it the oracle finds 3
+    p = tmp_path / "i3.json"
+    p.write_text(json.dumps({"gram": exactmat.identity(3)}))
+    real = corrterm.min_char_square
+
+    def wrong(obj):
+        res = real(obj)
+        return dataclasses.replace(res, minimum=res.minimum + shift)
+
+    monkeypatch.setattr(corrterm, "min_char_square", wrong)
+    code, out, err = run_cli(capsys, "lattice", "dinv", str(p), "--oracle")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OracleDisagreement: brute_char_min ")
+    assert err.count("\n") == 1
+
+
+def test_chain_reports_the_filling_error_before_an_incomplete_table(
+        capsys, tmp_path):
+    filling = tmp_path / "indefinite.json"
+    filling.write_text(json.dumps({"gram": [[1, 2], [2, 1]]}))
+    table = tmp_path / "incomplete.json"
+    table.write_text(json.dumps({**_GOOD_TABLE, "d": _GOOD_TABLE["d"][:8]}))
+    code, out, err = run_cli(capsys, "topo", "chain", "--filling",
+                             str(filling), "--dtable", str(table))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: IndefiniteForm: ")
+    code, out, err = run_cli(capsys, "topo", "chain", "--filling",
+                             str(DATA_DIR / "nine.json"), "--dtable",
+                             str(table))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: IncompleteTable: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[[1]]", "not json", '{"matrix": [[1]]}', '{"gram": [[1, 2], [2, 1]]}',
+    '{"gram": [[2, 2], [2, 2]]}', '{"gram": [[-9]]}',
+], ids=["list", "not-json", "no-gram-key", "indefinite", "singular",
+        "negative"])
+def test_linking_form_reads_the_file_as_lattice_info_does(capsys, tmp_path,
+                                                          text):
+    p = tmp_path / "filling.json"
+    p.write_text(text)
+    info = run_cli(capsys, "lattice", "info", str(p))
+    linking = run_cli(capsys, "topo", "linking-form", str(p))
+    if info[0] == 0:
+        assert linking[0] == 0 and "orientation: negated" in linking[1]
+    else:
+        assert linking == info
+        assert info[2].startswith("error: ") and info[2].count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["topo", "linking-form", str(DATA_DIR / "neg_one_a8.json")],
+    ["topo", "chain", "--filling", str(DATA_DIR / "nine.json"),
+     "--dtable", str(DATA_DIR / "s39_t23.json")],
+], ids=["linking-form", "chain"])
+def test_topo_filling_commands_build_one_lattice(capsys, monkeypatch, argv):
+    calls = []
+    real = lattice_mod.make_lattice
+
+    def counting(gram):
+        calls.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(lattice_mod, "make_lattice", counting)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(calls) == 1

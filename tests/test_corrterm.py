@@ -413,6 +413,22 @@ def test_coset_min_visits_the_same_nodes_as_the_fraction_search(rng):
     assert nodes > 1000
 
 
+def test_coset_min_reads_its_class_mod_2(rng):
+    # x ↦ x + 2k shifts every u by −k, so the search visits the same v in
+    # the same order; constrained_min relies on this to place its coset
+    # by its residue mod 2 alone
+    cases = [_random_form(rng, rng.randint(1, 6)) for _ in range(30)]
+    for gram in _unimodular_cases(rng):
+        x0, _ = exactmat.solve_mod2(gram, [gram[i][i] for i in range(len(gram))])
+        cases.append((gram, x0))
+    for a, x in cases:
+        k = [rng.randint(-9, 9) for _ in x]
+        assert corrterm.coset_min(a, [c + 2 * d for c, d in zip(x, k)]) == \
+            corrterm.coset_min(a, x)
+        assert corrterm.coset_min(a, [c % 2 for c in x]) == \
+            corrterm.coset_min(a, x)
+
+
 def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
     # brute force inside U itself: χ = c·B runs over a box of coordinates
     # c in the basis B of U, large enough by |c_i|² ≤ χ²·(G_U⁻¹)_ii to hold

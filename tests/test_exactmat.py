@@ -71,26 +71,69 @@ def is_row_hnf(h):
     return True
 
 
+def _minor_gcd(a, k):
+    """gcd of the k×k minors of A: a rank-k row lattice's invariant, which
+    a sublattice of index j multiplies by j."""
+    g = 0
+    for rows in combinations(range(len(a)), k):
+        for cols in combinations(range(len(a[0])), k):
+            g = gcd(g, exactmat.det([[a[i][j] for j in cols] for i in rows]))
+    return g
+
+
+def _in_row_lattice(v, h):
+    """True iff v is an integer combination of the rows of the row echelon
+    form h, by back-substitution on its pivots."""
+    v = list(v)
+    for row in h:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            break
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _assert_same_row_lattice(a, h):
+    # every row of A lies in the lattice of H, and that sublattice has the
+    # same rank and minor gcd, so index 1: the rows of H lie in A's lattice
+    assert all(_in_row_lattice(row, h) for row in a)
+    rank = sum(1 for row in h if any(row))
+    if rank:
+        assert _minor_gcd(a, rank) == _minor_gcd(h, rank)
+    assert rank == len(a) or _minor_gcd(a, rank + 1) == 0
+
+
+def _hnf_cases(rng):
+    """Seeded square, tall and rank-deficient integer matrices."""
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield [[rng.randint(-6, 6) for _ in range(n)]
+               for _ in range(n + rng.randint(1, 3))]
+        base = [[rng.randint(-5, 5) for _ in range(n + 1)]
+                for _ in range(rng.randint(1, n))]
+        yield [[sum(rng.randint(-2, 2) * x for x in col) for col in
+                zip(*base)] for _ in range(len(base) + rng.randint(1, 2))]
+
+
 def test_hnf_identity_fixed_point():
-    h, t = exactmat.hnf(exactmat.identity(3))
-    assert h == exactmat.identity(3)
-    assert t == exactmat.identity(3)
+    assert exactmat.hnf(exactmat.identity(3)) == exactmat.identity(3)
 
 
 def test_hnf_positive_diagonal_fixed_point():
     a = [[2, 0], [0, 2]]
-    h, t = exactmat.hnf(a)
-    assert h == a
-    assert t == exactmat.identity(2)
+    assert exactmat.hnf(a) == a
 
 
 def test_hnf_general_2x2():
     a = [[1, 2], [3, 4]]
-    h, t = exactmat.hnf(a)
+    h = exactmat.hnf(a)
     assert is_row_hnf(h)
-    assert exactmat.matmul(t, a) == h
-    assert abs(exactmat.det(t)) == 1
-    assert (h[0][0], h[1][1]) == (1, 2)
+    assert h == [[1, 0], [0, 2]]
+    _assert_same_row_lattice(a, h)
 
 
 def test_hnf_random_property():
@@ -99,10 +142,33 @@ def test_hnf_random_property():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        h, t = exactmat.hnf(a)
+        h = exactmat.hnf(a)
         assert is_row_hnf(h)
-        assert exactmat.matmul(t, a) == h
-        assert abs(exactmat.det(t)) == 1
+        assert (len(h), len(h[0])) == (rows, cols)
+        _assert_same_row_lattice(a, h)
+
+
+def test_hnf_is_invariant_under_unimodular_rows():
+    # H depends on the row lattice alone: U·A spans what A spans
+    rng = random.Random(8)
+    shapes = set()
+    for a in _hnf_cases(rng):
+        h = exactmat.hnf(a)
+        u = random_unimodular(rng, len(a), ops=4 * len(a))
+        assert exactmat.hnf(exactmat.matmul(u, a)) == h
+        _assert_same_row_lattice(a, h)
+        rank = sum(1 for row in h if any(row))
+        shapes.add("square" if len(a) == len(a[0]) == rank
+                   else "deficient" if rank < min(len(a), len(a[0]))
+                   else "tall")
+    assert shapes == {"square", "tall", "deficient"}
+
+
+def test_hnf_is_idempotent():
+    rng = random.Random(9)
+    for a in _hnf_cases(rng):
+        h = exactmat.hnf(a)
+        assert exactmat.hnf(h) == h
 
 
 def test_snf_single_entry():
@@ -377,9 +443,9 @@ def _shapes(rng):
 
 def _hnf_like(rng, n):
     """Upper triangular, positive pivots, mostly zero above them."""
-    h, _ = exactmat.hnf([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
-                         for _ in range(n)] + exactmat.scale(
-                             exactmat.identity(n), rng.choice((2, 3, 6))))
+    h = exactmat.hnf([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
+                      for _ in range(n)] + exactmat.scale(
+                          exactmat.identity(n), rng.choice((2, 3, 6))))
     return h[:n]
 
 
