@@ -56,8 +56,6 @@ def _common(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--oracle", action="store_true",
                    help="run brute-force cross-checks; fail on disagreement")
-    p.add_argument("--max-group", type=int, default=discgroup.DEFAULT_GROUP_CAP,
-                   metavar="N", help="cap on discriminant group order")
     p.add_argument("--threads", type=int, default=1, metavar="N")
 
 
@@ -123,13 +121,6 @@ def parse_args(argv):
     return build_parser().parse_args(argv)
 
 
-def _validate(args):
-    if args.max_group <= 0:
-        raise LatcorrError("--max-group must be positive")
-    if args.threads <= 0:
-        raise LatcorrError("--threads must be positive")
-
-
 def _check_embed_oracle(lat, embeds, notes):
     try:
         found, _ = oracle.brute_embed(lat)
@@ -188,14 +179,14 @@ def _run_lattice(args):
         }
     if args.command == "metabolizers":
         grp = discgroup.disc_group(lat)
-        mets = discgroup.metabolizers_of_group(grp, cap=args.max_group)
+        mets = discgroup.metabolizers_of_group(grp)
         if args.oracle:
             _check_metabolizer_oracle(grp, mets, notes)
         return 0, {"metabolizers": [_subgroup_json(m) for m in mets],
                    "notes": notes}
     if args.command in ("dset", "embed-check"):
         grp = discgroup.disc_group(lat)
-        ds = corrterm.d_set(grp, cap=args.max_group)
+        ds = corrterm.d_set(grp)
         if args.oracle:
             _check_metabolizer_oracle(grp, [e.metabolizer for e in ds.entries],
                                       notes)
@@ -267,14 +258,13 @@ def _run_topo(args):
     if args.command in ("rb-obstruction", "filling-obstruction"):
         table = topo.load_dtable(args.dtable)
         if args.command == "rb-obstruction":
-            report = topo.rb_correction_obstruction(table, cap=args.max_group)
+            report = topo.rb_correction_obstruction(table)
         else:
-            report = topo.definite_filling_obstruction(table, cap=args.max_group)
+            report = topo.definite_filling_obstruction(table)
         return VERDICT_EXIT[report.verdict], _report_json(report)
     if args.command == "chain":
         table = topo.load_dtable(args.dtable)
-        report = topo.chain_check(lattice_mod.read_gram(args.filling), table,
-                                  cap=args.max_group)
+        report = topo.chain_check(lattice_mod.read_gram(args.filling), table)
         return VERDICT_EXIT[report.verdict], _report_json(report)
     raise LatcorrError(f"unknown topo command {args.command}")
 
@@ -297,7 +287,8 @@ def _render_text(payload, out):
 def run(argv):
     """Parse argv, execute, render; returns the process exit code."""
     args = parse_args(argv)
-    _validate(args)
+    if args.threads <= 0:
+        raise LatcorrError("--threads must be positive")
     if args.domain == "lattice":
         code, payload = _run_lattice(args)
     else:

@@ -173,20 +173,20 @@ def min_char_square(obj):
                               nodes_visited=nodes)
 
 
-def d_set(grp, cap=discgroup.DEFAULT_GROUP_CAP):
+def d_set(grp):
     """One correction term d_{U(M)} per metabolizer M of the lattice-derived
     discriminant group grp, with U(M) and its characteristic minimum."""
     entries = []
-    for m in discgroup.metabolizers_of_group(grp, cap=cap):
+    for m in discgroup.metabolizers_of_group(grp):
         u = build_overlattice(grp, m)
         entries.append(DSetEntry(metabolizer=m, overlattice=u,
                                  result=min_char_square(u)))
     return DSet(tuple(entries), any(e.result.d == 0 for e in entries))
 
 
-def embeds_in_standard(lat, cap=discgroup.DEFAULT_GROUP_CAP):
+def embeds_in_standard(lat):
     """True iff the lattice embeds in Zⁿ of the same rank (0 ∈ D)."""
-    return d_set(discgroup.disc_group(lat), cap=cap).contains_zero
+    return d_set(discgroup.disc_group(lat)).contains_zero
 
 
 def constrained_min(lat, u):

@@ -19,7 +19,7 @@ from . import exactmat, lattice as lattice_mod
 from .errors import (GroupTooLarge, InputError, InvariantViolation,
                      NotInDualLattice)
 
-DEFAULT_GROUP_CAP = 10 ** 4
+GROUP_CAP = 10 ** 4  # the largest |G| either search enumerates
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,10 @@ def make_subgroup(g, elements):
     return Subgroup(elements=tuple(elems), generators=tuple(gens))
 
 
-def _check_cap(g, cap):
-    if g.order > cap:
+def _check_cap(g):
+    if g.order > GROUP_CAP:
         raise GroupTooLarge(
-            f"group order {g.order} exceeds the enumeration cap {cap}")
+            f"group order {g.order} exceeds the enumeration cap {GROUP_CAP}")
 
 
 def _subgroups(g, m, isotropic):
@@ -258,17 +258,17 @@ def _subgroups(g, m, isotropic):
                   key=lambda sg: sg.elements)
 
 
-def subgroups_of_order(g, m, cap=DEFAULT_GROUP_CAP):
+def subgroups_of_order(g, m):
     """All subgroups of order m, canonically sorted, duplicate-free."""
-    _check_cap(g, cap)
+    _check_cap(g)
     if m <= 0 or g.order % m != 0:
         raise InputError(f"{m} does not divide the group order {g.order}")
     return _subgroups(g, m, isotropic=False)
 
 
-def metabolizers_of_group(g, cap=DEFAULT_GROUP_CAP):
+def metabolizers_of_group(g):
     """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0."""
-    _check_cap(g, cap)
+    _check_cap(g)
     n = g.order
     m = isqrt(n)
     if m * m != n:

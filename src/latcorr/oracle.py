@@ -34,7 +34,7 @@ def _vectors_of_norm(dim, norm):
     return tuple(out)
 
 
-def brute_embed(lat, diag_cap=EMBED_DIAG_CAP, rank_cap=EMBED_RANK_CAP):
+def brute_embed(lat):
     """Exhaustive search for an embedding of the lattice into Zⁿ.
 
     Returns (found, witness) where witness lists the images of the basis
@@ -43,7 +43,8 @@ def brute_embed(lat, diag_cap=EMBED_DIAG_CAP, rank_cap=EMBED_RANK_CAP):
     """
     n = lat.rank
     gram = lat.gram
-    if n > rank_cap or any(gram[i][i] > diag_cap for i in range(n)):
+    if n > EMBED_RANK_CAP or any(gram[i][i] > EMBED_DIAG_CAP
+                                 for i in range(n)):
         raise SearchTooLarge("lattice exceeds the brute-embed caps")
     chosen = []
 
@@ -71,7 +72,7 @@ def brute_embed(lat, diag_cap=EMBED_DIAG_CAP, rank_cap=EMBED_RANK_CAP):
     return False, None
 
 
-def _enumerate_coset(a, t, radius, node_cap=ENUM_NODE_CAP):
+def _enumerate_coset(a, t, radius):
     """All integer u with (u+t)ᵀ·A·(u+t) ≤ radius, with values.
 
     Plain box enumeration from the LDLᵀ radii; yields (u, value) pairs.
@@ -95,7 +96,7 @@ def _enumerate_coset(a, t, radius, node_cap=ENUM_NODE_CAP):
             ui = first
             while True:
                 nodes += 1
-                if nodes > node_cap:
+                if nodes > ENUM_NODE_CAP:
                     raise SearchTooLarge("enumeration exceeded the node cap")
                 term = dd[i] * (ui + c) ** 2
                 if used + term > radius:
@@ -137,33 +138,50 @@ def brute_char_min(obj, bound):
     return int(m)
 
 
-def brute_subgroups(g, cap=SUBGROUP_CAP):
-    """All subgroups, by closure-based lattice walk from the trivial group."""
-    if g.order > cap:
+def _span(g, gens):
+    """The subgroup generated by gens: each round adds the generators to the
+    elements found in the round before, until no new element appears."""
+    span = new = {g.identity}
+    while new:
+        new = {tuple((a + b) % d for a, b, d in zip(h, x, g.orders))
+               for h in new for x in gens} - span
+        span = span | new
+    return frozenset(span)
+
+
+def _subgroup(g, elements):
+    """The Subgroup of a closed element set; generators are picked greedily
+    by (−order, element) among those outside the span so far."""
+    gens, span = [], {g.identity}
+    for x in sorted(elements, key=lambda e: (-len(_span(g, [e])), e)):
+        if x not in span:
+            gens.append(x)
+            span = _span(g, gens)
+    return discgroup.Subgroup(tuple(sorted(elements)), tuple(gens))
+
+
+def brute_subgroups(g):
+    """All subgroups: each round adds one element to each subgroup found in
+    the round before, starting from the trivial group.  Uses no subgroup
+    helper of `discgroup`, so that it stays a reference for them."""
+    if g.order > SUBGROUP_CAP:
         raise SearchTooLarge(f"group order {g.order} exceeds the oracle cap")
     elements = list(g.elements())
-    trivial = frozenset({g.identity})
-    seen = {trivial}
-    queue = [trivial]
-    while queue:
-        h = queue.pop()
-        for x in elements:
-            if x in h:
-                continue
-            grown = frozenset(discgroup.closure(g, list(h | {x})))
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
-    return sorted((discgroup.make_subgroup(g, s) for s in seen),
+    seen = new = {frozenset({g.identity})}
+    while new:
+        new = {_span(g, h | {x}) for h in new for x in elements
+               if x not in h} - seen
+        seen = seen | new
+    return sorted((_subgroup(g, s) for s in seen),
                   key=lambda sg: (sg.order, sg.elements))
 
 
-def is_standard(obj, rank_cap=STANDARD_RANK_CAP):
+def is_standard(obj):
     """True iff the unimodular positive definite lattice is Zⁿ: it must
     contain exactly 2n vectors of square one, spanning the lattice."""
     gram = gram_of(obj)
     n = len(gram)
-    if n > rank_cap:
+    if n > STANDARD_RANK_CAP:
         raise SearchTooLarge("rank exceeds the is_standard cap")
     gfrac = [[Fraction(x) for x in row] for row in gram]
     t = [Fraction(0)] * n

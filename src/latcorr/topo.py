@@ -152,11 +152,11 @@ def _orientation_note(negated):
     return None
 
 
-def donaldson_obstruction(q, cap=discgroup.DEFAULT_GROUP_CAP):
+def donaldson_obstruction(q):
     """Does the filling lattice embed in Zⁿ?  If not, the boundary cannot
     bound a rational homology ball alongside this filling."""
     lat = lattice_mod.make_lattice(q)
-    ds = corrterm.d_set(discgroup.disc_group(lat), cap=cap)
+    ds = corrterm.d_set(discgroup.disc_group(lat))
     evidence = tuple(
         MetabolizerRecord(metabolizer=e.metabolizer, d_over=e.result.d)
         for e in ds.entries)
@@ -174,7 +174,7 @@ def _require_complete(table):
             "d-table does not key every element of the group")
 
 
-def _table_evidence(table, cap):
+def _table_evidence(table):
     """One record per metabolizer of a complete table's group, holding the
     table's values on it."""
     _require_complete(table)
@@ -182,13 +182,13 @@ def _table_evidence(table, cap):
         MetabolizerRecord(metabolizer=m,
                           d_values=tuple((e, table.values[e])
                                          for e in m.elements))
-        for m in discgroup.metabolizers_of_group(table.group, cap=cap))
+        for m in discgroup.metabolizers_of_group(table.group))
 
 
-def rb_correction_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
+def rb_correction_obstruction(table):
     """Correction-term obstruction to bounding a rational homology ball:
     unobstructed iff some metabolizer carries d ≡ 0."""
-    evidence = _table_evidence(table, cap)
+    evidence = _table_evidence(table)
     if not evidence:
         verdict, reason = "obstructed", "no metabolizer exists"
     elif any(all(v == 0 for _, v in rec.d_values) for rec in evidence):
@@ -202,10 +202,10 @@ def rb_correction_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
     return ObstructionReport(verdict=verdict, evidence=evidence, reason=reason)
 
 
-def definite_filling_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
+def definite_filling_obstruction(table):
     """Obstruction to bounding a positive definite filling with H₁ = 0:
     fires iff some metabolizer carries strictly positive d everywhere."""
-    evidence = _table_evidence(table, cap)
+    evidence = _table_evidence(table)
     fires = any(all(v > 0 for _, v in rec.d_values) for rec in evidence)
     caveat = None if table.z2_homology_sphere else EVEN_ORDER_CAVEAT
     if fires and caveat:
@@ -217,7 +217,7 @@ def definite_filling_obstruction(table, cap=discgroup.DEFAULT_GROUP_CAP):
     return ObstructionReport(verdict=verdict, evidence=evidence, caveat=caveat)
 
 
-def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
+def chain_check(q, table):
     """Verify 0 ≥ d_{U(M)} ≥ constrained min ≥ min d(Y,t) per metabolizer.
 
     A violated inequality means the d-table cannot belong to the boundary
@@ -238,7 +238,7 @@ def chain_check(q, table, cap=discgroup.DEFAULT_GROUP_CAP):
         values = table.values
     records = []
     embeds = False
-    for entry in corrterm.d_set(grp, cap=cap).entries:
+    for entry in corrterm.d_set(grp).entries:
         m, d_over = entry.metabolizer, entry.result.d
         cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
         tmin = min(values[e] for e in m.elements)

@@ -159,14 +159,25 @@ def test_error_line_format(capsys):
 
 
 def test_bad_flag_values(capsys):
-    code, _, err = run_cli(capsys, "lattice", "info",
-                           str(DATA_DIR / "nine.json"), "--max-group", "0")
-    assert code == 1
-    assert "max-group" in err
+    # the group cap is a constant, so --max-group is an unknown option
+    code, out, err = run_cli(capsys, "lattice", "info",
+                             str(DATA_DIR / "nine.json"), "--max-group", "0")
+    assert (code, out) == (1, "")
+    assert err == ("error: LatcorrError: unrecognized arguments: "
+                   "--max-group 0\n")
     code, _, err = run_cli(capsys, "lattice", "info",
                            str(DATA_DIR / "nine.json"), "--threads", "-1")
     assert code == 1
     assert "threads" in err
+
+
+def test_group_above_the_cap_is_an_error(capsys, tmp_path):
+    path = tmp_path / "p10007.json"
+    path.write_text(json.dumps({"gram": [[10007]]}))
+    code, out, err = run_cli(capsys, "lattice", "metabolizers", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: GroupTooLarge: group order 10007 exceeds the "
+                   "enumeration cap 10000\n")
 
 
 @pytest.mark.parametrize("buffered", [True, False],

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 
 import pytest
 
 from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle)
 from latcorr.errors import InputError, NotInDualLattice
-from latcorr.overlattice import int_gram, overlattice as build_overlattice
+from latcorr.overlattice import (_canonical, int_gram,
+                                 overlattice as build_overlattice)
 
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
@@ -499,3 +500,39 @@ def test_d_set_is_basis_independent(rng):
         assert sets[0].contains_zero == sets[1].contains_zero
         nonempty += bool(values[0])
     assert nonempty >= 10
+
+
+def _diag(*entries):
+    return [[x if i == j else 0 for j, _ in enumerate(entries)]
+            for i, x in enumerate(entries)]
+
+
+@pytest.mark.parametrize("first, second", [
+    ((5, 5), (2, 2, 2, 2)), ((5, 5), (9, 9)), ((4, 4), (5, 5))],
+    ids=["5x5+2x2x2x2", "5x5+9x9", "4x4+5x5"])
+def test_metabolizers_of_a_coprime_sum_are_products(rng, first, second):
+    # with coprime discriminants L*/L splits as L₁*/L₁ ⊕ L₂*/L₂, so each
+    # metabolizer is M₁ ⊕ M₂ and U(M) = U(M₁) ⊕ U(M₂), and d adds
+    grams = [basis_change(_diag(*entries),
+                          random_unimodular(rng, len(entries), ops=12))
+             for entries in (first, second)]
+    parts = [corrterm.d_set(discgroup.disc_group(lattice_mod.make_lattice(g)))
+             for g in grams]
+    total = lattice_mod.make_lattice(_direct_sum(*grams))
+    whole = corrterm.d_set(discgroup.disc_group(total))
+    n1 = len(grams[0])
+    products = set()
+    for e1, e2 in product(parts[0].entries, parts[1].entries):
+        u1, u2 = e1.overlattice, e2.overlattice
+        denom = lcm(u1.denom, u2.denom)
+        rows = ([[denom // u1.denom * x for x in row] + [0] * len(grams[1])
+                 for row in u1.rows]
+                + [[0] * n1 + [denom // u2.denom * x for x in row]
+                   for row in u2.rows])
+        products.add(_canonical(total, rows, denom))
+    assert len(products) == len(parts[0].entries) * len(parts[1].entries) > 0
+    assert len(whole.entries) == len(products)
+    assert {e.overlattice for e in whole.entries} == products
+    assert sorted(e.result.d for e in whole.entries) == sorted(
+        e1.result.d + e2.result.d
+        for e1, e2 in product(parts[0].entries, parts[1].entries))

@@ -203,9 +203,10 @@ def test_metabolizers_of_three_generators():
 
 
 def test_metabolizer_cap():
-    lat = lattice_mod.make_lattice([[101]])
+    # 10007 is a prime just above GROUP_CAP
+    lat = lattice_mod.make_lattice([[10007]])
     with pytest.raises(GroupTooLarge):
-        discgroup.metabolizers_of_group(discgroup.disc_group(lat), cap=100)
+        discgroup.metabolizers_of_group(discgroup.disc_group(lat))
 
 
 def test_annihilator():

@@ -127,6 +127,21 @@ def test_brute_subgroups_match_subgroups_of_order(rng):
     assert n_mets > 10
 
 
+def test_brute_subgroups_use_no_discgroup_subgroup_helper(rng,
+                                                         monkeypatch):
+    # the oracle must stay a reference when the search's own helpers are
+    # wrong, so it may not call them at all
+    groups = _oracle_groups(rng)
+    before = [oracle.brute_subgroups(g) for g in groups]
+
+    def broken(*args):
+        raise AssertionError("the oracle called a discgroup helper")
+
+    for name in ("add", "closure", "element_order", "make_subgroup"):
+        monkeypatch.setattr(discgroup, name, broken)
+    assert [oracle.brute_subgroups(g) for g in groups] == before
+
+
 def test_is_standard():
     assert oracle.is_standard(lattice_mod.make_lattice(exactmat.identity(4)))
     assert not oracle.is_standard(lattice_mod.make_lattice(e8_gram()))
@@ -140,7 +155,8 @@ def test_is_standard_cap():
         oracle.is_standard(lattice_mod.make_lattice(exactmat.identity(13)))
 
 
-def test_enumerate_coset_node_cap():
+def test_enumerate_coset_node_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUM_NODE_CAP", 50)
     a = [[Fraction(1, 1000)]]
     with pytest.raises(SearchTooLarge):
-        list(oracle._enumerate_coset(a, [Fraction(0)], Fraction(10), node_cap=50))
+        list(oracle._enumerate_coset(a, [Fraction(0)], Fraction(10)))
