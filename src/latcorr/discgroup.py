@@ -188,19 +188,30 @@ def lift(g, x):
                  for j in range(g.lattice.rank))
 
 
-def closure(g, gens):
-    """The subgroup generated by the given elements, as a set."""
-    seen = {g.identity}
-    frontier = [g.identity]
-    gens = [tuple(x) for x in gens]
-    while frontier:
-        cur = frontier.pop()
-        for x in gens:
-            nxt = add(g, cur, x)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _order_mod(g, h, x):
+    """The order of x modulo the subgroup h (a set): the least k ≥ 1 with
+    k·x in h."""
+    k, y = 1, x
+    while y not in h:
+        y = add(g, y, x)
+        k += 1
+    return k
+
+
+def closure(g, gens, base=None):
+    """The subgroup generated by the subgroup base (a set; the trivial one
+    if None) and the given elements, as a set.
+
+    Each x grows the current subgroup H to the union of the cosets H + j·x,
+    0 ≤ j < k, with k the order of x modulo H: one `add` per new element.
+    """
+    h = {g.identity} if base is None else set(base)
+    for x in map(tuple, gens):
+        layer = list(h)
+        for _ in range(_order_mod(g, h, x) - 1):
+            layer = [add(g, y, x) for y in layer]
+            h.update(layer)
+    return h
 
 
 def make_subgroup(g, elements):
@@ -211,7 +222,7 @@ def make_subgroup(g, elements):
     for x in sorted(elems, key=lambda e: (-element_order(g, e), e)):
         if x not in have:
             gens.append(x)
-            have = closure(g, gens)
+            have = closure(g, (x,), have)
     return Subgroup(elements=tuple(elems), generators=tuple(gens))
 
 
@@ -225,11 +236,12 @@ def _subgroups(g, m, isotropic):
     """All subgroups of order m, canonically sorted, duplicate-free; with
     isotropic set, only those on which λ vanishes.
 
-    Depth first over sequences of candidate generators: a step adds a
-    candidate outside the current subgroup (isotropic to the generators so
-    far, if asked; sufficient by bilinearity) and keeps the closure of the
-    generators while its order divides m.  `path` holds the open branch,
-    each subgroup with the next candidate to try.
+    Depth first over sequences of candidate generators: a step takes a
+    candidate x outside the current subgroup H (isotropic to the generators
+    so far, if asked; sufficient by bilinearity) whose order k modulo H
+    keeps |H|·k a divisor of m, and only then grows H by the cosets
+    H + j·x.  `path` holds the open branch, each subgroup with the next
+    candidate to try.
     """
     candidates = [x for x in g.elements()
                   if x != g.identity and m % element_order(g, x) == 0]
@@ -249,10 +261,9 @@ def _subgroups(g, m, isotropic):
             if x in current or isotropic and not all(
                     _isotropic(n, rows[x], h) for h in gens):
                 continue
-            grown = closure(g, gens + (x,))
-            if m % len(grown) == 0:
+            if m % (len(current) * _order_mod(g, current, x)) == 0:
                 path.append((i + 1, current, gens))
-                path.append((i + 1, grown, gens + (x,)))
+                path.append((i + 1, closure(g, (x,), current), gens + (x,)))
                 break
     return sorted((make_subgroup(g, s) for s in found),
                   key=lambda sg: sg.elements)

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -391,3 +392,86 @@ def test_subgroup_search_never_calls_lam(monkeypatch):
     assert topo.rb_correction_obstruction(s39).verdict == "obstructed"
     z = topo.load_dtable(str(DATA_DIR / "z_example.json"))
     assert topo.definite_filling_obstruction(z).verdict == "obstructed"
+
+
+def _ref_sum(orders, x, y):
+    return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+
+def _ref_span(orders, gens):
+    """The span of gens, breadth first over sums: the reference for
+    `closure`, built on its own modular sum."""
+    seen = {(0,) * len(orders)}
+    layer = list(seen)
+    while layer:
+        sums = {_ref_sum(orders, y, x) for y in layer for x in gens}
+        layer = [z for z in sums if z not in seen]
+        seen.update(layer)
+    return seen
+
+
+def _growth_groups(rng):
+    """Seeded lattice groups 2², 4², 3²⊕9², 5⊕125 and the hyperbolic form
+    on (Z/3)⁴."""
+    return [_conjugate_group(rng, _diag(ds)) for ds in (
+        (2, 2), (4, 4), (3, 3, 9, 9), (5, 125))] + [_hyperbolic(3, 2)]
+
+
+def test_coset_growth_matches_a_reference_span(rng):
+    # closure(g, gens, base) is the span of base ∪ gens, whatever the base,
+    # and _order_mod(g, h, x) the least k ≥ 1 with k·x in h
+    checked = 0
+    for g in _growth_groups(rng):
+        elems = list(g.elements())
+        for _ in range(6):
+            base_gens = rng.sample(elems, rng.randint(1, 2))
+            base = _ref_span(g.orders, base_gens)
+            frozen = set(base)
+            gens = rng.sample(elems, rng.randint(1, 3))
+            assert discgroup.closure(g, gens) == _ref_span(g.orders, gens)
+            assert discgroup.closure(g, gens, base) == _ref_span(
+                g.orders, base_gens + gens)
+            inside = rng.sample(sorted(base), min(3, len(base)))
+            assert discgroup.closure(g, inside, base) == base
+            assert base == frozen
+            for x in gens + inside:
+                k, y = 1, x
+                while y not in base:
+                    k, y = k + 1, _ref_sum(g.orders, y, x)
+                assert discgroup._order_mod(g, base, x) == k
+            checked += 1
+    assert checked == 30
+
+
+def test_search_builds_only_subgroups_dividing_the_order(rng, monkeypatch):
+    # a candidate is rejected by its order modulo H before any set is built,
+    # so every set either search builds has an order dividing the target
+    closure = discgroup.closure
+    built = []
+
+    def recording(*args):
+        h = closure(*args)
+        built.append(len(h))
+        return h
+
+    def sets_built(m, search, *args):
+        built.clear()
+        found = search(*args)
+        assert all(m % n == 0 for n in built), (args, m)
+        assert all(s.order == m for s in found)
+        return len(built)
+
+    monkeypatch.setattr(discgroup, "closure", recording)
+    small = [_conjugate_group(rng, _diag(ds))
+             for ds in ((2, 2, 4), (3, 9), (2, 2, 2, 2), (3, 3, 3))]
+    n_built = 0
+    for g in _growth_groups(rng) + small:
+        # every divisor up to order 27; beyond it the search, which visits
+        # every ordering of every generating sequence, takes seconds to
+        # minutes per order above 9, so it stops there
+        for m in range(1, g.order + 1):
+            if g.order % m == 0 and (g.order <= 27 or m <= 9):
+                n_built += sets_built(m, discgroup.subgroups_of_order, g, m)
+        n_built += sets_built(isqrt(g.order), discgroup.metabolizers_of_group,
+                              g)
+    assert n_built > 1000
