@@ -203,13 +203,15 @@ def closure(g, gens, base=None):
     if None) and the given elements, as a set.
 
     Each x grows the current subgroup H to the union of the cosets H + j·x,
-    0 ≤ j < k, with k the order of x modulo H: one `add` per new element.
+    0 ≤ j < k, with k the order of x modulo H.  A coset is the last one
+    translated by x one coordinate at a time: a column of the layer at once.
     """
     h = {g.identity} if base is None else set(base)
     for x in map(tuple, gens):
         layer = list(h)
         for _ in range(_order_mod(g, h, x) - 1):
-            layer = [add(g, y, x) for y in layer]
+            layer = list(zip(*[[(a + b) % d for a in col] for col, b, d
+                               in zip(zip(*layer), x, g.orders)]))
             h.update(layer)
     return h
 
@@ -232,39 +234,80 @@ def _check_cap(g):
             f"group order {g.order} exceeds the enumeration cap {GROUP_CAP}")
 
 
-def _subgroups(g, m, isotropic):
-    """All subgroups of order m, canonically sorted, duplicate-free; with
-    isotropic set, only those on which λ vanishes.
+def _prime_powers(m):
+    """The prime powers q = p^e ∥ m, one per prime p | m, by increasing p."""
+    out, p = [], 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return out
+
+
+def _search(g, q, candidates, rows):
+    """The subgroups of order q spanned by candidates, as a dict from the
+    element set to the generators that built it; with rows (r(x) for each
+    candidate x) given, only those on which λ vanishes.
 
     Depth first over sequences of candidate generators: a step takes a
     candidate x outside the current subgroup H (isotropic to the generators
     so far, if asked; sufficient by bilinearity) whose order k modulo H
-    keeps |H|·k a divisor of m, and only then grows H by the cosets
+    keeps |H|·k a divisor of q, and only then grows H by the cosets
     H + j·x.  `path` holds the open branch, each subgroup with the next
     candidate to try.
     """
-    candidates = [x for x in g.elements()
-                  if x != g.identity and m % element_order(g, x) == 0]
-    if isotropic:
-        n = g.exponent
-        rows = {x: _row(g, x) for x in candidates}
-        candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
-    found = set()
+    n = g.exponent
+    found = {}
     path = [(0, {g.identity}, ())]
     while path:
         start, current, gens = path.pop()
-        if len(current) == m:
-            found.add(frozenset(current))
+        if len(current) == q:
+            found.setdefault(frozenset(current), gens)
             continue
         for i in range(start, len(candidates)):
             x = candidates[i]
-            if x in current or isotropic and not all(
+            if x in current or rows is not None and not all(
                     _isotropic(n, rows[x], h) for h in gens):
                 continue
-            if m % (len(current) * _order_mod(g, current, x)) == 0:
+            if q % (len(current) * _order_mod(g, current, x)) == 0:
                 path.append((i + 1, current, gens))
                 path.append((i + 1, closure(g, (x,), current), gens + (x,)))
                 break
+    return found
+
+
+def _subgroups(g, m, isotropic):
+    """All subgroups of order m, canonically sorted, duplicate-free; with
+    isotropic set, only those on which λ vanishes.
+
+    G is the direct sum of its p-parts G_p, the elements of p-power order,
+    so a subgroup of order m is the sum of one subgroup of order q in G_p
+    for each prime power q ∥ m.  Each part is searched on its own, among
+    the elements whose order divides q, and the parts are summed by one
+    `closure` per combination.  Isotropy is tested within a part only:
+    λ(G_p, G_p') = 0 for p ≠ p'.
+    """
+    n = g.exponent
+    order_of = {x: element_order(g, x) for x in g.elements()}
+    candidates = [x for x, k in order_of.items() if k > 1 and m % k == 0]
+    rows = None
+    if isotropic:
+        rows = {x: _row(g, x) for x in candidates}
+        candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
+    parts = [_search(g, q, [x for x in candidates if q % order_of[x] == 0],
+                     rows)
+             for q in _prime_powers(m) or [1]]
+    if len(parts) == 1:
+        found = parts[0]
+    else:
+        found = [closure(g, [x for _, gens in rest for x in gens], first)
+                 for (first, _), *rest in itertools.product(
+                     *[part.items() for part in parts])]
     return sorted((make_subgroup(g, s) for s in found),
                   key=lambda sg: sg.elements)
 
@@ -272,6 +315,8 @@ def _subgroups(g, m, isotropic):
 def subgroups_of_order(g, m):
     """All subgroups of order m, canonically sorted, duplicate-free."""
     _check_cap(g)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise InputError(f"subgroup order {m!r} is not an integer")
     if m <= 0 or g.order % m != 0:
         raise InputError(f"{m} does not divide the group order {g.order}")
     return _subgroups(g, m, isotropic=False)

@@ -149,6 +149,16 @@ def test_subgroups_of_order_nine():
         discgroup.subgroups_of_order(g, 2)
 
 
+def test_subgroup_order_must_be_an_int():
+    # the order is split into prime powers, so it must be an int; a bool
+    # is not one, and a float or Fraction that divides |G| is refused too
+    g = discgroup.disc_group(lattice_mod.make_lattice([[6]]))
+    assert len(discgroup.subgroups_of_order(g, 2)) == 1
+    for m in (2.0, 3.0, Fraction(2), True, False, "2", None):
+        with pytest.raises(InputError):
+            discgroup.subgroups_of_order(g, m)
+
+
 def test_metabolizers_nine():
     lat = lattice_mod.make_lattice([[9]])
     mets = discgroup.metabolizers_of_group(discgroup.disc_group(lat))
@@ -411,23 +421,28 @@ def _ref_span(orders, gens):
 
 
 def _growth_groups(rng):
-    """Seeded lattice groups 2², 4², 3²⊕9², 5⊕125 and the hyperbolic form
-    on (Z/3)⁴."""
+    """Seeded lattice groups 2², 4², 3²⊕9², 5⊕125, the hyperbolic form on
+    (Z/3)⁴, then the cyclic group of order 27 (one coordinate), the
+    three-prime group 6⊕30 and the trivial group (no coordinate)."""
     return [_conjugate_group(rng, _diag(ds)) for ds in (
-        (2, 2), (4, 4), (3, 3, 9, 9), (5, 125))] + [_hyperbolic(3, 2)]
+        (2, 2), (4, 4), (3, 3, 9, 9), (5, 125))] + [_hyperbolic(3, 2)] + [
+            _conjugate_group(rng, _diag(ds)) for ds in ((27,), (2, 6, 15))] + [
+            discgroup.disc_group(lattice_mod.make_lattice([[1]]))]
 
 
 def test_coset_growth_matches_a_reference_span(rng):
     # closure(g, gens, base) is the span of base ∪ gens, whatever the base,
     # and _order_mod(g, h, x) the least k ≥ 1 with k·x in h
+    groups = _growth_groups(rng)
+    assert [g.orders for g in groups[-3:]] == [(27,), (6, 30), ()]
     checked = 0
-    for g in _growth_groups(rng):
+    for g in groups:
         elems = list(g.elements())
         for _ in range(6):
-            base_gens = rng.sample(elems, rng.randint(1, 2))
+            base_gens = rng.sample(elems, min(len(elems), rng.randint(1, 2)))
             base = _ref_span(g.orders, base_gens)
             frozen = set(base)
-            gens = rng.sample(elems, rng.randint(1, 3))
+            gens = rng.sample(elems, min(len(elems), rng.randint(1, 3)))
             assert discgroup.closure(g, gens) == _ref_span(g.orders, gens)
             assert discgroup.closure(g, gens, base) == _ref_span(
                 g.orders, base_gens + gens)
@@ -440,7 +455,7 @@ def test_coset_growth_matches_a_reference_span(rng):
                     k, y = k + 1, _ref_sum(g.orders, y, x)
                 assert discgroup._order_mod(g, base, x) == k
             checked += 1
-    assert checked == 30
+    assert checked == 6 * len(groups)
 
 
 def test_search_builds_only_subgroups_dividing_the_order(rng, monkeypatch):

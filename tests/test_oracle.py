@@ -1,11 +1,15 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
 from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod, oracle
 from latcorr.errors import InvariantViolation, SearchTooLarge
 
-from conftest import a8_gram, e8_gram, random_posdef_gram
+from conftest import (a8_gram, basis_change, e8_gram, random_posdef_gram,
+                      random_unimodular)
 
 
 def test_vectors_of_norm():
@@ -138,9 +142,101 @@ def test_brute_subgroups_use_no_discgroup_subgroup_helper(rng,
         raise AssertionError("the oracle called a discgroup helper")
 
     for name in ("add", "closure", "element_order", "make_subgroup",
-                 "_order_mod"):
+                 "_order_mod", "_prime_powers", "_search"):
         monkeypatch.setattr(discgroup, name, broken)
     assert [oracle.brute_subgroups(g) for g in groups] == before
+
+
+def _prime_power_parts(n):
+    """{p: p^e} over the prime powers p^e ∥ n, by trial division."""
+    parts = {}
+    for p in range(2, n + 1):
+        while n % p == 0:
+            parts[p] = parts.get(p, 1) * p
+            n //= p
+    return parts
+
+
+def _is_sum_of_its_p_parts(g, s):
+    """S is the direct sum of its p-parts S_p = {x in S : order(x) | q},
+    q ∥ |G| the p-power: every choice of one x per part sums to a distinct
+    element of S."""
+    def order(x):
+        return lcm(*(d // gcd(a, d) for a, d in zip(x, g.orders)))
+
+    parts = [[x for x in s.elements if q % order(x) == 0]
+             for q in _prime_power_parts(g.order).values()]
+    sums = {tuple(sum(col) % d for col, d in zip(zip(*xs), g.orders))
+            for xs in itertools.product(*parts)}
+    return prod(map(len, parts)) == s.order and sums == set(s.elements)
+
+
+def _mixed_groups(rng):
+    """Seeded lattice groups on two or three primes (6², 2²⊕6, 30, 2⊕30),
+    and the table group 6² whose 2-part is the hyperbolic plane and whose
+    3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩."""
+    groups = [discgroup.disc_group(lattice_mod.make_lattice(basis_change(
+        gram, random_unimodular(rng, len(gram))))) for gram in (
+            [[6, 0], [0, 6]], [[2, 0, 0], [0, 2, 0], [0, 0, 6]], [[30]],
+            [[6, 0], [0, 10]])]
+    groups.append(discgroup.group_from_table(
+        (6, 6), [["1/3", "1/2"], ["1/2", "2/3"]]))
+    return groups
+
+
+def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
+    # G is the sum of its p-parts, so the subgroups of order m are the sums
+    # of one subgroup of order q per prime power q ∥ m, and a metabolizer
+    # is a sum of per-prime metabolizers
+    groups = _mixed_groups(rng)
+    assert [g.orders for g in groups] == [
+        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6)]
+    n_mets = 0
+    for g in groups:
+        primes = _prime_power_parts(g.order)
+        assert len(primes) >= 2
+        subs = oracle.brute_subgroups(g)
+        count = Counter(s.order for s in subs)
+        assert sorted(count) == [m for m in range(1, g.order + 1)
+                                 if g.order % m == 0]
+        for m in count:
+            got = discgroup.subgroups_of_order(g, m)
+            assert got == [s for s in subs if s.order == m]
+            assert count[m] == prod(count[q] for q in
+                                    _prime_power_parts(m).values())
+            assert all(_is_sum_of_its_p_parts(g, s) for s in got)
+        # the isotropic subgroups of order √|G| and, per prime, √|G_p|
+        halves = {isqrt(g.order)} | {isqrt(q) for q in primes.values()}
+        isotropic = Counter()
+        mets = []
+        for s in subs:
+            if s.order in halves and all(discgroup.lam(g, x, y) == 0
+                                         for x in s.elements
+                                         for y in s.elements):
+                isotropic[s.order] += 1
+                if s.order ** 2 == g.order:
+                    mets.append(s)
+        assert discgroup.metabolizers_of_group(g) == mets
+        if isqrt(g.order) ** 2 == g.order:
+            assert len(mets) == prod(isotropic[isqrt(q)]
+                                     for q in primes.values())
+        n_mets += len(mets)
+    assert n_mets == 6
+    # order 144 is beyond the oracle here (it takes 30 s and more), so the
+    # counts are checked against the search's own prime-power answers
+    for ds in ((12, 12), (2, 2, 6, 6)):
+        gram = [[d if i == j else 0 for j in range(len(ds))]
+                for i, d in enumerate(ds)]
+        g = discgroup.disc_group(lattice_mod.make_lattice(basis_change(
+            gram, random_unimodular(rng, len(ds)))))
+        assert g.orders == ds
+        for m in range(1, g.order + 1):
+            if g.order % m == 0:
+                got = discgroup.subgroups_of_order(g, m)
+                assert len(got) == prod(
+                    len(discgroup.subgroups_of_order(g, q))
+                    for q in _prime_power_parts(m).values())
+                assert all(_is_sum_of_its_p_parts(g, s) for s in got)
 
 
 def test_is_standard():
