@@ -157,7 +157,7 @@ def _check_metabolizer_oracle(grp, mets, notes):
         return
     expected = [s for s in subs
                 if s.order ** 2 == grp.order
-                and all(discgroup.lam(grp, x, y) == 0
+                and all(oracle.lam(grp, x, y) == 0
                         for x in s.generators for y in s.generators)]
     if [m.elements for m in mets] != [s.elements for s in expected]:
         raise OracleDisagreement("metabolizer sets disagree with the oracle")

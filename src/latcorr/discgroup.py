@@ -4,8 +4,8 @@ The group is presented in Smith normal form coordinates: orders
 (d_1, ..., d_k) with d_1 | ... | d_k and d_i > 1, elements as coefficient
 tuples.  With N = d_k the exponent, the pairing is stored as the integer
 table P = N·λ(g_i, g_j) mod N, and a lattice-derived group stores its
-generator lifts as integer rows over the one denominator N, together with
-a projection map.  Groups from an external table carry orders and P only.
+generator lifts as integer rows over the one denominator N.  Groups from
+an external table carry orders and P only.
 `pairing` and `generators` are the Fraction views of P and of the lifts.
 """
 
@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from operator import mul
 
-from . import exactmat, lattice as lattice_mod
-from .errors import (GroupTooLarge, InputError, InvariantViolation,
-                     NotInDualLattice)
+from . import exactmat
+from .errors import GroupTooLarge, InputError, InvariantViolation
 
 GROUP_CAP = 10 ** 4  # the largest |G| either search enumerates
 
@@ -28,8 +27,6 @@ class DiscGroup:
     form: tuple  # k×k ints P = N·λ(g_i, g_j) mod N, N the exponent
     lifts: tuple = None  # int rows, g_i = lifts[i]/N, when lattice-derived
     lattice: object = field(default=None, repr=False)
-    _proj_u: tuple = field(default=None, repr=False)
-    _proj_divisors: tuple = field(default=None, repr=False)
 
     @property
     def order(self):
@@ -87,19 +84,6 @@ def element_order(g, x):
     return n
 
 
-def lam(g, x, y):
-    """The pairing λ(x, y) as a canonical Fraction in [0, 1), summed over
-    the Fraction view: the reference for `_row` and `_isotropic`."""
-    pairing = g.pairing
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * pairing[i][j]
-    return total % 1
-
-
 def _row(g, x):
     """r(x) = xᵀP mod N.  N·λ(x, y) ≡ r(x)·y (mod N), so λ(x, y) = 0 iff
     that integer dot product vanishes mod N."""
@@ -137,8 +121,6 @@ def disc_group(lat):
         lifts=tuple(tuple(n // d * x for x in col)
                     for col, d in zip(cols, orders)),
         lattice=lat,
-        _proj_u=dec.u,
-        _proj_divisors=divisors,
     )
 
 
@@ -165,27 +147,6 @@ def group_from_table(orders, pairing):
     n = max(orders, default=1)
     return DiscGroup(orders, tuple(tuple(int(n * x) for x in row)
                                    for row in table))
-
-
-def project(g, v):
-    """π(v) ∈ L*/L for a dual vector v, in SNF coordinates."""
-    if g.lattice is None:
-        raise InputError("group carries no projection map (table-derived)")
-    w = lattice_mod.dual_coords(g.lattice, v)
-    if any(x.denominator != 1 for x in w):
-        raise NotInDualLattice("vector does not lie in the dual lattice")
-    y = exactmat.mat_vec([list(r) for r in g._proj_u], [int(x) for x in w])
-    keep = [i for i, d in enumerate(g._proj_divisors) if d > 1]
-    return tuple(int(y[i]) % g._proj_divisors[i] for i in keep)
-
-
-def lift(g, x):
-    """A dual-vector lift of a group element (sum of generator lifts)."""
-    if g.lifts is None:
-        raise InputError("group carries no lifts (table-derived)")
-    n = g.exponent
-    return tuple(Fraction(sum(a * row[j] for a, row in zip(x, g.lifts)), n)
-                 for j in range(g.lattice.rank))
 
 
 def _order_mod(g, h, x):
@@ -331,11 +292,3 @@ def metabolizers_of_group(g):
         return []
     return _subgroups(g, m, isotropic=True)
 
-
-def annihilator(g, h):
-    """All x with λ(x, y) = 0 for every y in the subgroup h."""
-    n = g.exponent
-    rows = [_row(g, gen) for gen in h.generators]
-    elems = [x for x in g.elements()
-             if all(_isotropic(n, r, x) for r in rows)]
-    return make_subgroup(g, elems)

@@ -5,15 +5,13 @@ Factorizations are fraction-free: `ldl` and `lll_gram` carry leading minors
 and scaled Gram–Schmidt coefficients as integers, `det` is Bareiss
 elimination, `hnf` returns the canonical row basis H alone, `snf` returns
 both unimodular transforms, and `solve_mod2` places a class mod 2, so no
-transform is inverted.  Only `inverse` and `rational_cholesky` return
-fractions.Fraction; the second is kept as the oracles' independent LDLᵀ
-reference.  No floating point appears anywhere in this module.
+transform is inverted.  Nothing here builds a fractions.Fraction or a
+float; the Fraction inverse and LDLᵀ that the oracles use live in `oracle`.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotPositiveDefinite, SingularMatrix
+from .errors import NotPositiveDefinite
 
 
 def identity(n):
@@ -98,30 +96,6 @@ def det(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def inverse(a):
-    """Exact inverse as a Fraction matrix; raises SingularMatrix if det = 0."""
-    if not is_square(a):
-        raise ValueError("inverse requires a square matrix")
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
 
 
 def hnf(a):
@@ -291,29 +265,6 @@ def ldl(g):
     for k in range(n):
         _extend(g, d, lam, k)
     return d, lam
-
-
-def rational_cholesky(g):
-    """Square-root-free LDLᵀ factorization of a symmetric rational matrix.
-
-    Returns (L, D) with L unit lower triangular (Fractions), D a list of
-    positive Fractions, and L·diag(D)·Lᵀ = G.  Raises NotPositiveDefinite
-    when G is indefinite or semidefinite.  The library factors through
-    `ldl`; this Fraction version is the oracles' independent reference.
-    """
-    if not is_symmetric(g):
-        raise ValueError("LDL^T requires a symmetric matrix")
-    n = len(g)
-    lo = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    dd = [Fraction(0)] * n
-    for j in range(n):
-        dd[j] = Fraction(g[j][j]) - sum(dd[k] * lo[j][k] ** 2 for k in range(j))
-        if dd[j] <= 0:
-            raise NotPositiveDefinite("matrix is not positive definite")
-        for i in range(j + 1, n):
-            s = Fraction(g[i][j]) - sum(dd[k] * lo[i][k] * lo[j][k] for k in range(j))
-            lo[i][j] = s / dd[j]
-    return lo, dd
 
 
 def lll_gram(gram):

@@ -1,20 +1,15 @@
-"""Definite integral lattices: construction, duals, characteristic covectors.
+"""Definite integral lattices: construction and loading.
 
 A lattice is stored through its Gram matrix in a fixed basis.  Negative
 definite input is negated on construction and the flip recorded, so all
 downstream computation runs on positive definite forms.
-
-Vectors of the dual lattice are carried as rational coordinate vectors with
-respect to the lattice basis (never in an ambient orthonormal basis).
 """
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactmat
-from .errors import (IndefiniteForm, InputError, NotInDualLattice,
-                     SingularForm)
+from .errors import IndefiniteForm, InputError, SingularForm
 
 
 @dataclass(frozen=True)
@@ -76,26 +71,3 @@ def load_lattice(path):
     """Load a lattice from a JSON file {"gram": [[ints]]}."""
     return make_lattice(read_gram(path))
 
-
-def discriminant(lat):
-    """|det(gram)|, the order of the discriminant group."""
-    return abs(exactmat.det(lat.gram_rows()))
-
-
-def dual_coords(lat, v):
-    """Pairings of v with the lattice basis (gram·v); integral iff v ∈ L*."""
-    return exactmat.mat_vec(lat.gram_rows(), [Fraction(x) for x in v])
-
-
-def pairing(lat, v, w):
-    """The rational value Q(v, w) for v, w in L⊗Q (lattice coordinates)."""
-    gv = dual_coords(lat, v)
-    return sum(x * Fraction(y) for x, y in zip(gv, w))
-
-
-def is_characteristic(lat, chi):
-    """True iff Q(chi, y) ≡ Q(y, y) mod 2 for all basis vectors y."""
-    w = dual_coords(lat, chi)
-    if any(x.denominator != 1 for x in w):
-        raise NotInDualLattice("vector does not pair integrally with the lattice")
-    return all((int(wi) - lat.gram[i][i]) % 2 == 0 for i, wi in enumerate(w))

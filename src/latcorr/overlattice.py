@@ -9,7 +9,7 @@ metabolizer/unimodular-overlattice correspondence testable.
 """
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from . import exactmat
 from .errors import InvariantViolation, NotIntegral
@@ -72,28 +72,3 @@ def int_gram(u):
     d2 = u.denom * u.denom
     return [[x // d2 for x in row] for row in u.scaled_gram]
 
-
-def dual_of(lat, u):
-    """The dual (L')* of an integral overlattice (NotIntegral otherwise), in
-    L-coordinates.
-
-    Its basis rows are gram(L')⁻¹·basis(L'), which pair to the identity
-    against the rows of basis(L').
-    """
-    rows = exactmat.matmul(exactmat.inverse(int_gram(u)), u.rows)
-    # the dual basis is rows/denom; clear the inverse's denominators into e
-    e = lcm(1, *(x.denominator for row in rows for x in row))
-    return _canonical(lat, [[x.numerator * (e // x.denominator) for x in row]
-                            for row in rows], e * u.denom)
-
-
-def index_check(lat, u):
-    """([L':L], [L*:(L')*]) for an integral intermediate lattice L'."""
-    from . import lattice as lattice_mod
-    if not is_integral(u):
-        raise NotIntegral("index check requires an integral overlattice")
-    disc = lattice_mod.discriminant(lat)
-    dual = dual_of(lat, u)
-    if disc % dual.index != 0:
-        raise InvariantViolation("dual index does not divide the discriminant")
-    return u.index, disc // dual.index

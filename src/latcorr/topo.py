@@ -152,22 +152,6 @@ def _orientation_note(negated):
     return None
 
 
-def donaldson_obstruction(q):
-    """Does the filling lattice embed in Zⁿ?  If not, the boundary cannot
-    bound a rational homology ball alongside this filling."""
-    lat = lattice_mod.make_lattice(q)
-    ds = corrterm.d_set(discgroup.disc_group(lat))
-    evidence = tuple(
-        MetabolizerRecord(metabolizer=e.metabolizer, d_over=e.result.d)
-        for e in ds.entries)
-    verdict = "unobstructed" if ds.contains_zero else "obstructed"
-    reason = None
-    if not ds.entries:
-        reason = "no metabolizer exists, so the lattice cannot embed"
-    return ObstructionReport(verdict=verdict, evidence=evidence, reason=reason,
-                             orientation_note=_orientation_note(lat.negated))
-
-
 def _require_complete(table):
     if not table.complete:
         raise IncompleteTable(

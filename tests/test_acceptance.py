@@ -10,13 +10,13 @@ from math import isqrt
 
 from latcorr import (cli, corrterm, discgroup, exactmat,
                      lattice as lattice_mod, oracle, topo)
-from latcorr.overlattice import (index_check, int_gram, is_integral,
-                                 is_unimodular,
+from latcorr.overlattice import (int_gram, is_integral, is_unimodular,
                                  overlattice as build_overlattice)
 
 from conftest import (DATA_DIR, basis_change, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
                       z_plus_e8_gram)
+from duality import discriminant, index_check
 
 
 def _ok(capsys, line):
@@ -28,7 +28,7 @@ def _ok(capsys, line):
 def test_negative_nine_by_nine_does_not_embed(capsys):
     lat = lattice_mod.make_lattice(neg_one_a8_gram())
     assert lat.negated
-    assert lattice_mod.discriminant(lat) == 9
+    assert discriminant(lat) == 9
     mets = discgroup.metabolizers_of_group(discgroup.disc_group(lat))
     assert len(mets) == 1
     assert mets[0].elements == ((0,), (3,), (6,))
@@ -134,7 +134,7 @@ def _square_disc_suite(count, seed):
     while len(out) < count:
         g = random_posdef_gram(rng, max_rank=4, max_disc=36)
         lat = lattice_mod.make_lattice(g)
-        disc = lattice_mod.discriminant(lat)
+        disc = discriminant(lat)
         r = isqrt(disc)
         if r * r == disc:
             out.append((lat, disc, r))
@@ -225,7 +225,7 @@ def test_oracle_equivalence(capsys):
         lat = lattice_mod.make_lattice(gram)
         res = corrterm.min_char_square(lat)
         n = len(gram)
-        ginv = exactmat.inverse(gram)
+        ginv = oracle.inverse(gram)
         w0 = [gram[i][i] % 2 for i in range(n)]
         bound = sum(w0[i] * ginv[i][j] * w0[j]
                     for i in range(n) for j in range(n))

@@ -364,24 +364,57 @@ def test_one_disc_group_per_query(capsys, monkeypatch, tmp_path, shape,
 
 def test_chain_never_inverts_the_filling_gram(capsys, monkeypatch, tmp_path):
     # disc_group reads its generators off the Smith form, and the eight
-    # constrained minima search the coset in U(M), so the filling's Gram
-    # matrix is never inverted
+    # constrained minima search the coset in U(M), so no matrix is
+    # inverted: the kernel has no inverse, and the oracle's is not called
+    assert not hasattr(exactmat, "inverse")
     lat_file, table_file, n_mets = _diag3333_files(tmp_path)
-    gram = json.loads(lat_file.read_text())["gram"]
-    calls = []
-    real = exactmat.inverse
 
-    def counting(a):
-        if [list(row) for row in a] == gram:
-            calls.append(a)
-        return real(a)
+    def forbidden(a):
+        raise AssertionError("oracle.inverse called")
 
-    monkeypatch.setattr(exactmat, "inverse", counting)
+    monkeypatch.setattr(oracle, "inverse", forbidden)
     code, payload = run_json(capsys, "topo", "chain", "--filling",
                              str(lat_file), "--dtable", str(table_file))
     assert code == 0
     assert len(payload["evidence"]) == n_mets
-    assert calls == []
+
+
+def _bundled_commands():
+    """Every command on the bundled data/ files, without --oracle: the
+    lattice commands and `topo linking-form` on each lattice, the table
+    obstructions on each d-table, and `topo chain` on each pair."""
+    is_lattice = {str(f): "gram" in json.loads(f.read_text())
+                  for f in sorted(DATA_DIR.glob("*.json"))}
+    lattices = [f for f, flag in is_lattice.items() if flag]
+    tables = [f for f, flag in is_lattice.items() if not flag]
+    return ([["lattice", c, f] for f in lattices for c in (
+                "info", "metabolizers", "dset", "embed-check", "dinv")]
+            + [["topo", "linking-form", f] for f in lattices]
+            + [["topo", c, "--dtable", t] for t in tables
+               for c in ("rb-obstruction", "filling-obstruction")]
+            + [["topo", "chain", "--filling", f, "--dtable", t]
+               for f in lattices for t in tables])
+
+
+def test_bundled_commands_call_no_fraction_reference(capsys, monkeypatch):
+    # the Fraction references live in oracle and serve --oracle alone:
+    # neither the kernel nor the group module defines one, and with the
+    # oracle's raising every bundled command prints what it printed before
+    assert not any(hasattr(exactmat, name)
+                   for name in ("inverse", "rational_cholesky"))
+    assert not hasattr(discgroup, "lam")
+    commands = [argv + ["--format", fmt] for argv in _bundled_commands()
+                for fmt in ("text", "json")]
+    before = [run_cli(capsys, *argv)[:2] for argv in commands]
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction reference was called")
+
+    for name in ("lam", "inverse", "rational_cholesky"):
+        monkeypatch.setattr(oracle, name, forbidden)
+    assert [run_cli(capsys, *argv)[:2] for argv in commands] == before
+    assert len(commands) == 84
+    assert {code for code, _ in before} == {0, 1, 2, 3}
 
 
 def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,

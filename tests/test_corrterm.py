@@ -14,6 +14,7 @@ from latcorr.overlattice import (_canonical, int_gram,
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
                       z_plus_e8_gram)
+from duality import is_characteristic, pairing, project
 
 
 def test_coset_min_trivial():
@@ -74,8 +75,8 @@ def test_witness_is_characteristic():
     for gram in (exactmat.identity(3), e8_gram(), z_plus_e8_gram()):
         lat = lattice_mod.make_lattice(gram)
         res = corrterm.min_char_square(lat)
-        assert lattice_mod.is_characteristic(lat, res.witness)
-        assert lattice_mod.pairing(lat, res.witness, res.witness) == res.minimum
+        assert is_characteristic(lat, res.witness)
+        assert pairing(lat, res.witness, res.witness) == res.minimum
 
 
 def test_overlattice_witness_lies_in_overlattice_dual():
@@ -86,7 +87,7 @@ def test_overlattice_witness_lies_in_overlattice_dual():
     res = corrterm.min_char_square(u)
     assert res.minimum == 1
     # witness is given in base-lattice coordinates; its square is the minimum
-    assert lattice_mod.pairing(lat, res.witness, res.witness) == 1
+    assert pairing(lat, res.witness, res.witness) == 1
 
 
 def test_d_invariant_stable_under_basis_change(rng):
@@ -141,9 +142,12 @@ def test_d_set_neg_one_a8():
 
 
 def test_d_set_no_metabolizers_is_empty():
-    ds = corrterm.d_set(discgroup.disc_group(lattice_mod.make_lattice([[2]])))
+    # no metabolizer, so D is empty and [[2]] cannot embed
+    lat = lattice_mod.make_lattice([[2]])
+    ds = corrterm.d_set(discgroup.disc_group(lat))
     assert ds.entries == ()
     assert not ds.contains_zero
+    assert not corrterm.embeds_in_standard(lat)
 
 
 def test_constrained_min_nine():
@@ -163,9 +167,9 @@ def test_constrained_min_matches_direct_scan():
     best = None
     for w in range(-45, 46, 2):
         chi = (Fraction(w, 9),)
-        if discgroup.project(grp, chi) not in elems:
+        if project(grp, chi) not in elems:
             continue
-        sq = lattice_mod.pairing(lat, chi, chi)
+        sq = pairing(lat, chi, chi)
         best = sq if best is None else min(best, sq)
     assert corrterm.constrained_min(lat, build_overlattice(grp, m)) == \
         (best - 1) / 4
@@ -218,7 +222,7 @@ def test_constrained_min_matches_coset_scan(rng):
         fast = [corrterm.constrained_min(lat, build_overlattice(grp, m))
                 for m in subgroups]
         bound = 4 * max(fast) + n
-        ginv = exactmat.inverse(gram)
+        ginv = oracle.inverse(gram)
         box = []
         for g in (gram[i][i] for i in range(n)):
             r = isqrt(floor(bound * g))
@@ -228,7 +232,7 @@ def test_constrained_min_matches_coset_scan(rng):
             chi = exactmat.mat_vec(ginv, list(w))
             sq = sum(x * y for x, y in zip(w, chi))
             if sq <= bound:
-                e = discgroup.project(grp, chi)
+                e = project(grp, chi)
                 best[e] = min(best.get(e, sq), sq)
         for m, value in zip(subgroups, fast):
             scan = min(best[e] for e in m.elements if e in best)
@@ -246,14 +250,13 @@ def _assert_witness(lat, basis, res):
     """The witness lies in the lattice spanned by basis (rows in the
     coordinates of lat), is characteristic there and has square minimum."""
     w = res.witness
-    inv = exactmat.inverse([list(r) for r in basis])
+    inv = oracle.inverse([list(r) for r in basis])
     coords = [sum(w[i] * inv[i][j] for i in range(len(w)))
               for j in range(len(w))]
     assert all(x.denominator == 1 for x in coords)
     for row in basis:
-        assert (lattice_mod.pairing(lat, w, row)
-                - lattice_mod.pairing(lat, row, row)) % 2 == 0
-    assert lattice_mod.pairing(lat, w, w) == res.minimum
+        assert (pairing(lat, w, row) - pairing(lat, row, row)) % 2 == 0
+    assert pairing(lat, w, w) == res.minimum
 
 
 def _unimodular_cases(rng):
@@ -351,7 +354,7 @@ def test_coset_min_matches_brute_scan_on_integer_forms():
         val, v, _ = corrterm.coset_min(a, x)
         assert type(val) is int and all(type(c) is int for c in v)
         assert _congruent(v, x) and val == _quad(a, v)
-        ainv = exactmat.inverse(a)
+        ainv = oracle.inverse(a)
         # v_i runs over the integers ≡ x_i (mod 2) in [−r − 1, r]
         box = [range(-r - (r + c) % 2, r + 1, 2) for r, c in
                zip((isqrt(floor(val * ainv[i][i])) + 1 for i in range(n)), x)]
@@ -363,7 +366,7 @@ def _fraction_coset_min(a, t):
     search order and pruning as `coset_min`, as an independent reference
     for its values, witnesses and node counts."""
     n = len(t)
-    lo, dd = exactmat.rational_cholesky(a)
+    lo, dd = oracle.rational_cholesky(a)
     t = [Fraction(x) for x in t]
     s = [Fraction(0)] * n
     u = [0] * n
@@ -445,7 +448,7 @@ def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
             u = build_overlattice(grp, m)
             fast = corrterm.constrained_min(lat, u)
             bound = 4 * fast + n
-            ginv = exactmat.inverse([[Fraction(x, u.denom ** 2) for x in r]
+            ginv = oracle.inverse([[Fraction(x, u.denom ** 2) for x in r]
                                      for r in u.scaled_gram])
             box = [range(-r, r + 1) for r in
                    (isqrt(floor(bound * ginv[i][i])) + 1 for i in range(n))]
@@ -453,8 +456,8 @@ def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
             for c in product(*box):
                 chi = tuple(sum(ci * row[j] for ci, row in zip(c, _basis(u)))
                             for j in range(n))
-                if lattice_mod.is_characteristic(lat, chi):
-                    sq = lattice_mod.pairing(lat, chi, chi)
+                if is_characteristic(lat, chi):
+                    sq = pairing(lat, chi, chi)
                     best = sq if best is None else min(best, sq)
             assert fast == (best - n) / 4
             checked += 1

@@ -5,8 +5,8 @@ from math import gcd
 
 import pytest
 
-from latcorr import exactmat
-from latcorr.errors import NotPositiveDefinite, SingularMatrix
+from latcorr import exactmat, oracle
+from latcorr.errors import NotPositiveDefinite
 
 from conftest import (a8_gram, basis_change, e8_gram, random_unimodular,
                       textbook_matmul)
@@ -228,48 +228,6 @@ def test_det_matches_cofactor_oracle_random():
         assert exactmat.det(a) == cofactor_det(a)
 
 
-def test_inverse_examples():
-    assert exactmat.inverse([[9]]) == [[Fraction(1, 9)]]
-    inv = exactmat.inverse(a8_gram())
-    prod = exactmat.matmul(a8_gram(), inv)
-    assert prod == exactmat.identity(8)
-
-
-def test_inverse_singular():
-    with pytest.raises(SingularMatrix):
-        exactmat.inverse([[1, 1], [1, 1]])
-
-
-def test_inverse_random_exact():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if exactmat.det(a) == 0:
-            continue
-        assert exactmat.matmul(a, exactmat.inverse(a)) == exactmat.identity(n)
-
-
-def test_cholesky_identity():
-    lo, dd = exactmat.rational_cholesky(exactmat.identity(2))
-    assert dd == [1, 1]
-
-
-def test_cholesky_2x2_pivots():
-    lo, dd = exactmat.rational_cholesky([[2, 1], [1, 2]])
-    assert dd == [Fraction(2), Fraction(3, 2)]
-    # reconstruct L·D·Lᵀ
-    n = 2
-    recon = [[sum(lo[i][k] * dd[k] * lo[j][k] for k in range(n))
-              for j in range(n)] for i in range(n)]
-    assert recon == [[2, 1], [1, 2]]
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        exactmat.rational_cholesky([[1, 2], [2, 1]])
-
-
 def test_cholesky_iff_leading_minors_positive():
     rng = random.Random(13)
     for _ in range(80):
@@ -310,7 +268,7 @@ def _assert_lll_reduced(gram, t, reduced):
     assert abs(cofactor_det(t)) == 1
     assert exactmat.matmul(exactmat.matmul(t, gram),
                            exactmat.transpose(t)) == reduced
-    mu, b = exactmat.rational_cholesky(reduced)
+    mu, b = oracle.rational_cholesky(reduced)
     n = len(gram)
     for k in range(n):
         assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
@@ -386,7 +344,7 @@ def test_ldl_matches_rational_cholesky():
         else:
             a = _random_symmetric(rng, n)
         try:
-            lo, dd = exactmat.rational_cholesky(a)
+            lo, dd = oracle.rational_cholesky(a)
         except NotPositiveDefinite:
             with pytest.raises(NotPositiveDefinite):
                 exactmat.ldl(a)

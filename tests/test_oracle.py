@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -6,10 +7,52 @@ from math import gcd, isqrt, lcm, prod
 import pytest
 
 from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod, oracle
-from latcorr.errors import InvariantViolation, SearchTooLarge
+from latcorr.errors import (InvariantViolation, NotPositiveDefinite,
+                            SearchTooLarge, SingularMatrix)
 
 from conftest import (a8_gram, basis_change, e8_gram, random_posdef_gram,
                       random_unimodular)
+
+
+def test_inverse_examples():
+    assert oracle.inverse([[9]]) == [[Fraction(1, 9)]]
+    inv = oracle.inverse(a8_gram())
+    assert exactmat.matmul(a8_gram(), inv) == exactmat.identity(8)
+
+
+def test_inverse_singular():
+    with pytest.raises(SingularMatrix):
+        oracle.inverse([[1, 1], [1, 1]])
+
+
+def test_inverse_random_exact():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if exactmat.det(a) == 0:
+            continue
+        assert exactmat.matmul(a, oracle.inverse(a)) == exactmat.identity(n)
+
+
+def test_cholesky_identity():
+    lo, dd = oracle.rational_cholesky(exactmat.identity(2))
+    assert dd == [1, 1]
+
+
+def test_cholesky_2x2_pivots():
+    lo, dd = oracle.rational_cholesky([[2, 1], [1, 2]])
+    assert dd == [Fraction(2), Fraction(3, 2)]
+    # reconstruct L·D·Lᵀ
+    n = 2
+    recon = [[sum(lo[i][k] * dd[k] * lo[j][k] for k in range(n))
+              for j in range(n)] for i in range(n)]
+    assert recon == [[2, 1], [1, 2]]
+
+
+def test_cholesky_rejects_indefinite():
+    with pytest.raises(NotPositiveDefinite):
+        oracle.rational_cholesky([[1, 2], [2, 1]])
 
 
 def test_vectors_of_norm():
@@ -62,7 +105,7 @@ def test_brute_char_min_agrees_with_optimized(rng):
         lat = lattice_mod.make_lattice(g)
         res = corrterm.min_char_square(lat)
         n = len(g)
-        ginv = exactmat.inverse(g)
+        ginv = oracle.inverse(g)
         w0 = [g[i][i] % 2 for i in range(n)]
         bound = sum(w0[i] * ginv[i][j] * w0[j]
                     for i in range(n) for j in range(n))
@@ -123,7 +166,7 @@ def test_brute_subgroups_match_subgroups_of_order(rng):
             expect = discgroup.subgroups_of_order(g, order)
             assert [s.elements for s in got] == [s.elements for s in expect]
         isotropic = [s.elements for s in subs if s.order ** 2 == g.order
-                     and all(discgroup.lam(g, x, y) == 0
+                     and all(oracle.lam(g, x, y) == 0
                              for x in s.elements for y in s.elements)]
         got = [m.elements for m in discgroup.metabolizers_of_group(g)]
         assert got == isotropic
@@ -171,16 +214,23 @@ def _is_sum_of_its_p_parts(g, s):
     return prod(map(len, parts)) == s.order and sums == set(s.elements)
 
 
+def _conjugate_diag(rng, ds):
+    """The discriminant group of a seeded change of basis of diag(ds)."""
+    gram = [[d if i == j else 0 for j in range(len(ds))]
+            for i, d in enumerate(ds)]
+    return discgroup.disc_group(lattice_mod.make_lattice(basis_change(
+        gram, random_unimodular(rng, len(ds)))))
+
+
 def _mixed_groups(rng):
-    """Seeded lattice groups on two or three primes (6², 2²⊕6, 30, 2⊕30),
-    and the table group 6² whose 2-part is the hyperbolic plane and whose
-    3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩."""
-    groups = [discgroup.disc_group(lattice_mod.make_lattice(basis_change(
-        gram, random_unimodular(rng, len(gram))))) for gram in (
-            [[6, 0], [0, 6]], [[2, 0, 0], [0, 2, 0], [0, 0, 6]], [[30]],
-            [[6, 0], [0, 10]])]
+    """Seeded lattice groups on two or three primes (6², 2²⊕6, 30, 2⊕30,
+    12²), and the table group 6² whose 2-part is the hyperbolic plane and
+    whose 3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩."""
+    groups = [_conjugate_diag(rng, ds)
+              for ds in ((6, 6), (2, 2, 6), (30,), (6, 10))]
     groups.append(discgroup.group_from_table(
         (6, 6), [["1/3", "1/2"], ["1/2", "2/3"]]))
+    groups.append(_conjugate_diag(rng, (12, 12)))
     return groups
 
 
@@ -190,7 +240,7 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
     # is a sum of per-prime metabolizers
     groups = _mixed_groups(rng)
     assert [g.orders for g in groups] == [
-        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6)]
+        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6), (12, 12)]
     n_mets = 0
     for g in groups:
         primes = _prime_power_parts(g.order)
@@ -210,7 +260,7 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
         isotropic = Counter()
         mets = []
         for s in subs:
-            if s.order in halves and all(discgroup.lam(g, x, y) == 0
+            if s.order in halves and all(oracle.lam(g, x, y) == 0
                                          for x in s.elements
                                          for y in s.elements):
                 isotropic[s.order] += 1
@@ -222,21 +272,18 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
                                      for q in primes.values())
         n_mets += len(mets)
     assert n_mets == 6
-    # order 144 is beyond the oracle here (it takes 30 s and more), so the
-    # counts are checked against the search's own prime-power answers
-    for ds in ((12, 12), (2, 2, 6, 6)):
-        gram = [[d if i == j else 0 for j in range(len(ds))]
-                for i, d in enumerate(ds)]
-        g = discgroup.disc_group(lattice_mod.make_lattice(basis_change(
-            gram, random_unimodular(rng, len(ds)))))
-        assert g.orders == ds
-        for m in range(1, g.order + 1):
-            if g.order % m == 0:
-                got = discgroup.subgroups_of_order(g, m)
-                assert len(got) == prod(
-                    len(discgroup.subgroups_of_order(g, q))
-                    for q in _prime_power_parts(m).values())
-                assert all(_is_sum_of_its_p_parts(g, s) for s in got)
+    # 2² ⊕ 6² has 402 subgroups, and the oracle takes about 4 s to list
+    # them, so here the counts are checked against the search's own
+    # prime-power answers
+    g = _conjugate_diag(rng, (2, 2, 6, 6))
+    assert g.orders == (2, 2, 6, 6)
+    for m in range(1, g.order + 1):
+        if g.order % m == 0:
+            got = discgroup.subgroups_of_order(g, m)
+            assert len(got) == prod(
+                len(discgroup.subgroups_of_order(g, q))
+                for q in _prime_power_parts(m).values())
+            assert all(_is_sum_of_its_p_parts(g, s) for s in got)
 
 
 def test_is_standard():

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from latcorr import discgroup, exactmat, lattice as lattice_mod, oracle
-from latcorr.overlattice import (_canonical, dual_of, index_check, int_gram,
-                                 is_integral, is_unimodular,
+from latcorr.overlattice import (_canonical, int_gram, is_integral,
+                                 is_unimodular,
                                  overlattice as build_overlattice)
 from latcorr.errors import NotIntegral
 
 from conftest import a8_gram, d4_gram, random_posdef_gram, textbook_matmul
+from duality import annihilator, discriminant, dual_of, index_check
 
 
 def _trivial_subgroup(g):
@@ -65,7 +66,7 @@ def test_metabolizer_iff_unimodular(rng):
     for _ in range(40):
         lat = lattice_mod.make_lattice(random_posdef_gram(rng))
         g = discgroup.disc_group(lat)
-        disc = lattice_mod.discriminant(lat)
+        disc = discriminant(lat)
         mets = {m.elements for m in discgroup.metabolizers_of_group(g)}
         for order in sorted({s for s in range(1, disc + 1)
                              if s * s == disc and disc % s == 0}):
@@ -82,7 +83,7 @@ def test_index_and_gram_scaling():
         assert u.index == 2
         assert is_unimodular(u)
         # disc(L) = [U:L]² · disc(U)
-        assert lattice_mod.discriminant(lat) == u.index ** 2
+        assert discriminant(lat) == u.index ** 2
 
 
 def test_dual_of_unimodular_is_itself():
@@ -99,7 +100,7 @@ def test_dual_of_lattice_itself():
     u = build_overlattice(g, _trivial_subgroup(g))
     dual = dual_of(lat, u)
     # [L* : L] = disc
-    assert dual.index == lattice_mod.discriminant(lat)
+    assert dual.index == discriminant(lat)
 
 
 def test_index_identity_intermediate(rng):
@@ -107,7 +108,7 @@ def test_index_identity_intermediate(rng):
     checked = 0
     while checked < 8:
         lat = lattice_mod.make_lattice(random_posdef_gram(rng, max_disc=12))
-        disc = lattice_mod.discriminant(lat)
+        disc = discriminant(lat)
         if disc == 1:
             continue
         checked += 1
@@ -170,7 +171,7 @@ def test_dual_of_overlattice_is_overlattice_of_annihilator(
     checked = 0
     for lat, g, s, u in seeded_overlattices:
         if is_integral(u):
-            ann = discgroup.annihilator(g, s)
+            ann = annihilator(g, s)
             assert dual_of(lat, u) == build_overlattice(g, ann)
             checked += 1
     assert checked >= 40

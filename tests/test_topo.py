@@ -87,14 +87,6 @@ def test_linking_form_negative_filling():
     assert filling.boundary_pairing == ((Fraction(1, 9),),)
 
 
-def test_donaldson_obstruction_embedding_and_not():
-    rep = topo.donaldson_obstruction([[9]])
-    assert rep.verdict == "unobstructed"
-    rep = topo.donaldson_obstruction([[2]])
-    assert rep.verdict == "obstructed"
-    assert "no metabolizer" in rep.reason
-
-
 def test_rb_obstruction_s39():
     table = topo.load_dtable(str(DATA_DIR / "s39_t23.json"))
     rep = topo.rb_correction_obstruction(table)
