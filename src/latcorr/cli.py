@@ -294,8 +294,7 @@ def run(argv):
     else:
         code, payload = _run_topo(args)
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _render_text(payload, sys.stdout)
     return code

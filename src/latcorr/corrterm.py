@@ -5,9 +5,11 @@ positive definite integer A, by depth-first branch and bound over the
 fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
-`min_char_square` first LLL-reduces the basis and splits off the vectors of square 1, so the
-search only sees the part of the lattice without them; `constrained_min`
-searches its one characteristic coset in a reduced basis.  Both work on
+`min_char_square` splits the basis vectors of square 1 off the input
+basis, LLL-reduces what is left and splits again, so the search only sees
+the part of the lattice without them; the reduction also yields det G,
+which decides unimodularity.  `constrained_min` searches its one
+characteristic coset in a reduced basis.  Both work on
 integer Gram matrices and on integer basis rows over one denominator.
 """
 
@@ -17,7 +19,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import (OverLattice, int_gram, is_unimodular,
+from .overlattice import (OverLattice, int_gram, is_integral,
                           overlattice as build_overlattice)
 from .errors import InputError, InvariantViolation, NotInDualLattice
 from .lattice import Lattice
@@ -111,53 +113,90 @@ def coset_min(a, x):
     return best_val // scale, best_v, nodes
 
 
-def _unimodular_gram(obj):
-    """(int Gram, int basis rows H, denominator e) for a unimodular positive
-    definite lattice or overlattice; its basis in L-coords is H/e.  H is
-    None for a lattice, whose basis is its own."""
+def _integral_gram(obj):
+    """(int Gram, int basis rows H, denominator e, kind) for a positive
+    definite integral lattice or overlattice; its basis in L-coords is H/e.
+    H is None for a lattice, whose basis is its own.  Unimodularity is left
+    to `min_char_square`, which reads det G off its first reduction."""
     if isinstance(obj, Lattice):
-        gram = obj.gram_rows()
-        if abs(exactmat.det(gram)) != 1:
-            raise InputError("correction term requires a unimodular lattice")
-        return gram, None, 1
+        return obj.gram_rows(), None, 1, "lattice"
     if isinstance(obj, OverLattice):
-        if not is_unimodular(obj):
+        if not is_integral(obj):
             raise InputError("correction term requires a unimodular overlattice")
-        return int_gram(obj), obj.rows, obj.denom
+        return int_gram(obj), obj.rows, obj.denom, "overlattice"
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
+
+
+def _split(gram, rows, units):
+    """The Gram matrix and basis rows of what is left after splitting the
+    basis vectors `units`, of square 1, off a definite integral lattice.
+
+    Distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1, with
+    equality only for v = ±w), so basis vector j projects to
+    b_j − Σ c_ji·b_i over the units i, with C = gram[rest][units], and the
+    rest's Gram matrix is gram[rest][rest] − C·Cᵀ.  rows None means the
+    identity basis."""
+    rest = [j for j, row in enumerate(gram) if row[j] != 1]
+    if not rest:
+        return [], []
+    c = [[gram[j][i] for i in units] for j in rest]
+    if rows is None:
+        n = len(gram)
+        rows = [[int(k == j) for k in range(n)] for j in rest]
+        for row, cj in zip(rows, c):
+            for i, x in zip(units, cj):
+                row[i] = -x
+    else:
+        proj = exactmat.matmul(c, [rows[i] for i in units])
+        rows = [[x - y for x, y in zip(rows[j], p)]
+                for j, p in zip(rest, proj)]
+    cct = exactmat.matmul(c, exactmat.transpose(c))
+    return [[gram[j][k] - y for k, y in zip(rest, row)]
+            for j, row in zip(rest, cct)], rows
 
 
 def min_char_square(obj):
     """Exact min of χ² over the characteristic vectors of a unimodular
     positive definite lattice, with a witness in base-lattice coordinates.
 
-    The basis is LLL-reduced, and every reduced basis vector v of square 1
-    is split off: U = Zv ⊕ v^⊥, and the characteristic minimum of Zv is 1,
-    attained at v.  Reduction and splitting repeat until no basis vector
-    of square 1 is left; only that rest goes to the branch and bound.
+    Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
+    characteristic minimum of Zv is 1, attained at v.  The split starts on
+    the input basis; the rest is LLL-reduced and split again, until a
+    reduced basis has no vector of square 1.  Only that rest goes to the
+    branch and bound.  A split keeps the determinant, so each reduction's
+    det G decides unimodularity; when everything splits, U is Zⁿ.
     """
-    gram, basis, denom = _unimodular_gram(obj)
+    gram, basis, denom, kind = _integral_gram(obj)
     n = len(gram)
     rows = None  # basis of the rest, in obj's basis; None means the identity
     chi = [0] * n  # the witness in obj's basis
     minimum = 0
     nodes = 0
-    while rows is None or rows:
-        t, gram = exactmat.lll_gram(gram)
-        rows = t if rows is None else exactmat.matmul(t, rows)
+    reduced = False
+    while gram:
         units = [i for i, row in enumerate(gram) if row[i] == 1]
-        if not units:
+        # split the input basis and each reduced one; right after a split,
+        # only when every basis vector is a unit vector, so the Gram matrix
+        # is I and the split needs no product
+        if units and (rows is None or reduced or len(units) == len(gram)):
+            minimum += len(units)
+            if rows is None:
+                for i in units:
+                    chi[i] = 1
+            else:
+                chi = [sum(col) for col in zip(chi, *(rows[i] for i in units))]
+            gram, rows = _split(gram, rows, units)
+            reduced = False
+        elif reduced:
             break
-        # basis vectors of square 1 are pairwise orthogonal (Cauchy–Schwarz)
-        for i in units:
-            chi = [x + y for x, y in zip(chi, rows[i])]
-        minimum += len(units)
-        rest = [j for j in range(len(rows)) if j not in units]
-        rows = [[x - sum(gram[j][i] * rows[i][c] for i in units)
-                 for c, x in enumerate(rows[j])] for j in rest]
-        gram = [[gram[j][k] - sum(gram[j][i] * gram[k][i] for i in units)
-                 for k in rest] for j in rest]
-    if rows:
+        else:
+            t, gram, det = exactmat.lll_gram(gram)
+            if det != 1:
+                raise InputError(
+                    f"correction term requires a unimodular {kind}")
+            rows = t if rows is None else exactmat.matmul(t, rows)
+            reduced = True
+    if gram:
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
         x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
@@ -220,7 +259,7 @@ def constrained_min(lat, u):
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g
-    t, a = exactmat.lll_gram([[x // g for x in row] for row in a])
+    t, a, _ = exactmat.lll_gram([[x // g for x in row] for row in a])
     # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
     # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
     # HNF rows; coset_min reads z mod 2 only, so z·T ≡ y is solved over F₂

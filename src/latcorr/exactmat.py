@@ -35,8 +35,7 @@ def is_square(a):
 
 
 def is_symmetric(a):
-    n = len(a)
-    return is_square(a) and all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+    return is_square(a) and list(zip(*a)) == list(map(tuple, a))
 
 
 def transpose(a):
@@ -271,9 +270,10 @@ def lll_gram(gram):
     """Integral LLL reduction (δ = 3/4) of a positive definite integer Gram
     matrix, after Cohen, GTM 138, Algorithm 2.6.7.
 
-    Returns (T, T·G·Tᵀ) with T unimodular; the rows of T are the reduced
-    basis in the input basis.  Only integers are used: d[i] is the Gram
-    determinant of the first i vectors and lam[k][j] = d[j+1]·μ_kj.  Raises
+    Returns (T, T·G·Tᵀ, det G) with T unimodular; the rows of T are the
+    reduced basis in the input basis.  Only integers are used: d[i] is the
+    Gram determinant of the first i vectors and lam[k][j] = d[j+1]·μ_kj, so
+    det G is d[n], which no unimodular transform changes.  Raises
     NotPositiveDefinite when some d[i] is not positive.
     """
     n = len(gram)
@@ -324,7 +324,7 @@ def lll_gram(gram):
         for l in range(k - 2, -1, -1):
             red(k, l)
         k += 1
-    return t, g
+    return t, g, d[n]
 
 
 def is_positive_definite(g):

@@ -15,7 +15,7 @@ from latcorr import (cli, corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle, topo)
 from latcorr.errors import LatcorrError, SearchTooLarge
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, basis_change, random_unimodular
 
 
 def run_cli(capsys, *argv):
@@ -89,11 +89,23 @@ def test_embed_check_with_oracle(capsys):
     assert any("metabolizers agree" in n for n in payload["notes"])
 
 
-def test_dinv_requires_unimodular(capsys):
+def test_dinv_requires_unimodular(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lattice", "dinv",
                              str(DATA_DIR / "nine.json"))
     assert code == 1
     assert err.startswith("error: InputError:")
+    # unit basis vectors are split off before unimodularity is read off the
+    # first reduction; the rest still carries the determinant
+    rng = random.Random(18)
+    i2_a2 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+    for gram in ([[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+                 basis_change(i2_a2, random_unimodular(rng, 4, ops=8))):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"gram": gram}))
+        code, out, err = run_cli(capsys, "lattice", "dinv", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: InputError: correction term requires a "
+                       "unimodular lattice\n")
 
 
 def test_topo_linking_form(capsys):

@@ -69,6 +69,50 @@ def test_min_char_square_z_plus_e8():
 def test_min_char_square_rejects_non_unimodular():
     with pytest.raises(InputError):
         corrterm.min_char_square(lattice_mod.make_lattice([[9]]))
+    # U = L* is not integral, U = L is integral with determinant 9; both
+    # give the overlattice InputError, not NotIntegral
+    g = discgroup.disc_group(lattice_mod.make_lattice([[1, 0], [0, 9]]))
+    whole = discgroup.make_subgroup(g, discgroup.closure(g, [(1,)]))
+    trivial = discgroup.make_subgroup(g, {g.identity})
+    for m in (whole, trivial):
+        with pytest.raises(InputError,
+                           match="^correction term requires a unimodular "
+                                 "overlattice$"):
+            corrterm.min_char_square(build_overlattice(g, m))
+
+
+def test_min_char_square_on_standard_lattice_neither_reduces_nor_factors(
+        monkeypatch):
+    # every basis vector of Iₙ is a unit vector, so everything splits at once
+    def refuse(*args):
+        raise AssertionError("Iₙ needs no reduction and no determinant")
+
+    monkeypatch.setattr(exactmat, "lll_gram", refuse)
+    monkeypatch.setattr(exactmat, "det", refuse)
+    for n in (1, 4, 12):
+        res = corrterm.min_char_square(
+            lattice_mod.make_lattice(exactmat.identity(n)))
+        assert (res.minimum, res.nodes_visited) == (n, 0)
+        assert res.witness == (1,) * n
+
+
+def test_min_char_square_reduces_only_what_the_units_leave(monkeypatch):
+    # on E8 ⊕ I_k the unit basis vectors split off as they stand, and the
+    # first reduction sees E8 alone
+    real = exactmat.lll_gram
+    seen = []
+
+    def spy(gram):
+        seen.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(exactmat, "lll_gram", spy)
+    for k in (1, 3):
+        seen.clear()
+        res = corrterm.min_char_square(
+            lattice_mod.make_lattice(_padded(e8_gram(), k)))
+        assert res.minimum == k and res.d == -2
+        assert seen[0] == e8_gram()
 
 
 def test_witness_is_characteristic():

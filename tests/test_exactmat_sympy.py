@@ -58,7 +58,9 @@ def test_lll_gram_matches_sympy(rng):
         if exactmat.det(b) == 0:
             continue
         checked += 1
-        t, _ = exactmat.lll_gram(exactmat.gram_of_rows(b, exactmat.identity(n)))
+        g = exactmat.gram_of_rows(b, exactmat.identity(n))
+        t, _, det = exactmat.lll_gram(g)
+        assert det == exactmat.det(g)
         reduced = DomainMatrix([[sympy.ZZ(x) for x in row] for row in b],
                                (n, n), sympy.ZZ).lll()
         assert exactmat.matmul(t, b) == _ints(reduced.to_Matrix()), b

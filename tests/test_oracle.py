@@ -224,13 +224,17 @@ def _conjugate_diag(rng, ds):
 
 def _mixed_groups(rng):
     """Seeded lattice groups on two or three primes (6², 2²⊕6, 30, 2⊕30,
-    12²), and the table group 6² whose 2-part is the hyperbolic plane and
-    whose 3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩."""
+    12²), the table group 6² whose 2-part is the hyperbolic plane and
+    whose 3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩, and the hyperbolic table group 12²,
+    whose 2- and 3-parts are both hyperbolic, so that it has metabolizers
+    (the seeded 12² has none: its 3-part is anisotropic)."""
     groups = [_conjugate_diag(rng, ds)
               for ds in ((6, 6), (2, 2, 6), (30,), (6, 10))]
     groups.append(discgroup.group_from_table(
         (6, 6), [["1/3", "1/2"], ["1/2", "2/3"]]))
     groups.append(_conjugate_diag(rng, (12, 12)))
+    groups.append(discgroup.group_from_table(
+        (12, 12), [["0", "1/12"], ["1/12", "0"]]))
     return groups
 
 
@@ -240,7 +244,7 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
     # is a sum of per-prime metabolizers
     groups = _mixed_groups(rng)
     assert [g.orders for g in groups] == [
-        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6), (12, 12)]
+        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6), (12, 12), (12, 12)]
     n_mets = 0
     for g in groups:
         primes = _prime_power_parts(g.order)
@@ -271,7 +275,9 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
             assert len(mets) == prod(isotropic[isqrt(q)]
                                      for q in primes.values())
         n_mets += len(mets)
-    assert n_mets == 6
+    # the hyperbolic 12² has 5·2 = 10: five metabolizers of its 2-part, the
+    # hyperbolic form on (ℤ/4)², times two of its 3-part
+    assert n_mets == 16
     # 2² ⊕ 6² has 402 subgroups, and the oracle takes about 4 s to list
     # them, so here the counts are checked against the search's own
     # prime-power answers
