@@ -7,7 +7,7 @@ from .corrterm import (DSet, DSetEntry, MinimizationResult, constrained_min,
 from .discgroup import (DiscGroup, Subgroup, disc_group, group_from_table,
                         metabolizers_of_group, subgroups_of_order)
 from .lattice import Lattice, load_lattice, make_lattice
-from .overlattice import OverLattice, is_integral, is_unimodular, overlattice
+from .overlattice import OverLattice, is_integral, overlattice
 from .topo import (DInvariantTable, FillingPresentation, ObstructionReport,
                    chain_check, definite_filling_obstruction, load_dtable,
                    linking_form_of_filling, rb_correction_obstruction)
@@ -17,7 +17,7 @@ __all__ = [
     "FillingPresentation", "Lattice", "MinimizationResult",
     "ObstructionReport", "OverLattice", "Subgroup", "chain_check",
     "constrained_min", "d_set", "definite_filling_obstruction", "disc_group",
-    "embeds_in_standard", "group_from_table", "is_integral", "is_unimodular",
+    "embeds_in_standard", "group_from_table", "is_integral",
     "linking_form_of_filling", "load_dtable", "load_lattice", "make_lattice",
     "metabolizers_of_group", "min_char_square", "overlattice",
     "rb_correction_obstruction", "subgroups_of_order",

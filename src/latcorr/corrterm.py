@@ -6,11 +6,12 @@ fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
 `min_char_square` splits the basis vectors of square 1 off the input
-basis, LLL-reduces what is left and splits again, so the search only sees
-the part of the lattice without them; the reduction also yields det G,
-which decides unimodularity.  `constrained_min` searches its one
-characteristic coset in a reduced basis.  Both work on
-integer Gram matrices and on integer basis rows over one denominator.
+basis, then LLL-reduces what is left and splits again until none remain,
+so the search only sees the part of the lattice without them; each
+reduction also yields det G, the one place unimodularity is decided.
+`constrained_min` searches its one characteristic coset in a reduced
+basis.  Both work on integer Gram matrices and on integer basis rows over
+one denominator.
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,10 @@ from math import gcd, lcm
 from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import (OverLattice, int_gram, is_integral,
+from .overlattice import (OverLattice, int_gram,
                           overlattice as build_overlattice)
-from .errors import InputError, InvariantViolation, NotInDualLattice
+from .errors import (InputError, InvariantViolation, NotInDualLattice,
+                     NotIntegral)
 from .lattice import Lattice
 
 
@@ -117,13 +119,15 @@ def _integral_gram(obj):
     """(int Gram, int basis rows H, denominator e, kind) for a positive
     definite integral lattice or overlattice; its basis in L-coords is H/e.
     H is None for a lattice, whose basis is its own.  Unimodularity is left
-    to `min_char_square`, which reads det G off its first reduction."""
+    to `min_char_square`, which reads det G off its reductions."""
     if isinstance(obj, Lattice):
         return obj.gram_rows(), None, 1, "lattice"
     if isinstance(obj, OverLattice):
-        if not is_integral(obj):
-            raise InputError("correction term requires a unimodular overlattice")
-        return int_gram(obj), obj.rows, obj.denom, "overlattice"
+        try:
+            return int_gram(obj), obj.rows, obj.denom, "overlattice"
+        except NotIntegral:
+            raise InputError(
+                "correction term requires a unimodular overlattice") from None
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
@@ -167,18 +171,13 @@ def min_char_square(obj):
     det G decides unimodularity; when everything splits, U is Zⁿ.
     """
     gram, basis, denom, kind = _integral_gram(obj)
-    n = len(gram)
     rows = None  # basis of the rest, in obj's basis; None means the identity
-    chi = [0] * n  # the witness in obj's basis
+    chi = [0] * len(gram)  # the witness in obj's basis
     minimum = 0
     nodes = 0
-    reduced = False
-    while gram:
-        units = [i for i, row in enumerate(gram) if row[i] == 1]
-        # split the input basis and each reduced one; right after a split,
-        # only when every basis vector is a unit vector, so the Gram matrix
-        # is I and the split needs no product
-        if units and (rows is None or reduced or len(units) == len(gram)):
+    units = [i for i, row in enumerate(gram) if row[i] == 1]
+    while True:
+        if units:
             minimum += len(units)
             if rows is None:
                 for i in units:
@@ -186,16 +185,16 @@ def min_char_square(obj):
             else:
                 chi = [sum(col) for col in zip(chi, *(rows[i] for i in units))]
             gram, rows = _split(gram, rows, units)
-            reduced = False
-        elif reduced:
-            break
-        else:
-            t, gram, det = exactmat.lll_gram(gram)
-            if det != 1:
-                raise InputError(
-                    f"correction term requires a unimodular {kind}")
+            if not gram:
+                break
+        t, gram, det = exactmat.lll_gram(gram)
+        if det != 1:
+            raise InputError(f"correction term requires a unimodular {kind}")
+        if t != exactmat.identity(len(t)):  # T = I: the rest was reduced
             rows = t if rows is None else exactmat.matmul(t, rows)
-            reduced = True
+        units = [i for i, row in enumerate(gram) if row[i] == 1]
+        if not units:
+            break
     if gram:
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique

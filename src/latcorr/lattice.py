@@ -55,13 +55,18 @@ def make_lattice(gram):
     raise IndefiniteForm("form is neither positive nor negative definite")
 
 
+def read_json(path, what):
+    """The JSON value in a UTF-8 file; failing to read it is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as e:
+        raise InputError(f"cannot read {what} file {path}: {e}")
+
+
 def read_gram(path):
     """The unchecked Gram matrix of a JSON file {"gram": [[ints]]}."""
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read lattice file {path}: {e}")
+    obj = read_json(path, "lattice")
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError("lattice file must be a JSON object with a 'gram' key")
     return obj["gram"]

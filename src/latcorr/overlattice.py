@@ -3,9 +3,9 @@
 An overlattice L' is stored as integers: the HNF rows of denom·L' ⊂ L in
 the coordinates of the base lattice, with denom the exponent of L'/L, so
 overlattice values compare by equality.
-Construction never fails: integrality and unimodularity are queried
-properties, which is what makes the failing direction of the
-metabolizer/unimodular-overlattice correspondence testable.
+Construction never fails: integrality is a queried property, which makes
+the failing direction of the metabolizer/unimodular-overlattice
+correspondence testable; `corrterm.min_char_square` decides unimodularity.
 """
 
 from dataclasses import dataclass
@@ -59,10 +59,6 @@ def overlattice(grp, m):
 def is_integral(u):
     d2 = u.denom * u.denom
     return all(x % d2 == 0 for row in u.scaled_gram for x in row)
-
-
-def is_unimodular(u):
-    return is_integral(u) and abs(exactmat.det(int_gram(u))) == 1
 
 
 def int_gram(u):

@@ -9,7 +9,7 @@ obstruction is inconclusive when it fires and carries a caveat otherwise,
 and `chain_check` does not yet take the parity into account.
 """
 
-import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -67,8 +67,12 @@ def _parse_rational(s):
     if type(s) not in (str, int):  # a float is rounded, a bool no number
         raise InputError(f"bad rational value {s!r}: not a string or int")
     try:
+        # only p or p/q: Fraction alone takes "1e999999999" and builds a
+        # 10⁹-digit integer
+        if type(s) is str and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+            raise ValueError(f"Invalid literal for Fraction: {s!r}")
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational value {s!r}: {e}")
 
 
@@ -92,12 +96,7 @@ def _check_nondegenerate(grp):
 
 def load_dtable(path):
     """Load a d-invariant table from its JSON file format."""
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read d-table file {path}: {e}")
-    _expect(obj, dict, "file")
+    obj = _expect(lattice_mod.read_json(path, "d-table"), dict, "file")
     for key in ("orders", "pairing", "d", "z2_homology_sphere"):
         if key not in obj:
             raise InputError(f"d-table file is missing the '{key}' key")

@@ -13,7 +13,7 @@ from math import lcm
 
 from latcorr import discgroup, exactmat, oracle
 from latcorr.errors import NotInDualLattice
-from latcorr.overlattice import _canonical, int_gram
+from latcorr.overlattice import _canonical, int_gram, is_integral
 
 
 def discriminant(lat):
@@ -69,6 +69,10 @@ def annihilator(g, h):
     return discgroup.make_subgroup(g, [
         x for x in g.elements()
         if all(oracle.lam(g, x, y) == 0 for y in h.generators)])
+
+
+def is_unimodular(u):
+    return is_integral(u) and abs(exactmat.det(int_gram(u))) == 1
 
 
 def dual_of(lat, u):

@@ -10,13 +10,13 @@ from math import isqrt
 
 from latcorr import (cli, corrterm, discgroup, exactmat,
                      lattice as lattice_mod, oracle, topo)
-from latcorr.overlattice import (int_gram, is_integral, is_unimodular,
+from latcorr.overlattice import (int_gram, is_integral,
                                  overlattice as build_overlattice)
 
 from conftest import (DATA_DIR, basis_change, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
                       z_plus_e8_gram)
-from duality import discriminant, index_check
+from duality import discriminant, index_check, is_unimodular
 
 
 def _ok(capsys, line):

@@ -516,11 +516,15 @@ _GOOD_TABLE = {"orders": [9], "pairing": [["8/9"]],
     {**_GOOD_TABLE, "d": [{"elem": [0], "value": True}]},
     {**_GOOD_TABLE, "pairing": [[0.5]]},
     {**_GOOD_TABLE, "pairing": [[False]]},
+    {**_GOOD_TABLE, "d": [{"elem": [0], "value": "1e5000"}]},
+    {**_GOOD_TABLE, "d": [{"elem": [0], "value": "0.5"}]},
+    {**_GOOD_TABLE, "d": [{"elem": [0], "value": " 1/2"}]},
 ], ids=["number", "order-not-int", "order-float", "pairing-not-list",
         "d-not-list", "record-no-elem", "record-no-value", "record-not-object",
         "elem-not-list", "value-not-rational", "z2-string", "z2-int",
         "z2-null", "degenerate-3-3", "degenerate-4", "value-float",
-        "value-bool", "pairing-float", "pairing-bool"])
+        "value-bool", "pairing-float", "pairing-bool", "value-exponent",
+        "value-decimal", "value-space"])
 def test_malformed_dtable_is_an_input_error(capsys, tmp_path, table):
     p = tmp_path / "table.json"
     p.write_text(json.dumps(table))
@@ -529,6 +533,33 @@ def test_malformed_dtable_is_an_input_error(capsys, tmp_path, table):
     assert code == 1
     assert out == ""
     assert err.startswith("error: InputError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    bytes(random.Random(0).randrange(256) for _ in range(300)),
+    b'{"gram": [[' + b"1" * 5001 + b"]]}",
+    b"[" * 100_000,
+], ids=["random-bytes", "long-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", [
+    ["lattice", "info"],
+    ["topo", "linking-form"],
+    ["topo", "chain", "--dtable", str(DATA_DIR / "s39_t23.json"),
+     "--filling"],
+    ["topo", "chain", "--filling", str(DATA_DIR / "nine.json"), "--dtable"],
+    ["topo", "rb-obstruction", "--dtable"],
+], ids=["lattice-info", "topo-linking-form", "chain-filling", "chain-dtable",
+        "rb-obstruction"])
+def test_unreadable_input_file_is_an_input_error(capsys, tmp_path, content,
+                                                 command):
+    # undecodable bytes, an integer past the interpreter's digit limit and
+    # nesting past its recursion limit all fail inside json.load
+    p = tmp_path / "input.json"
+    p.write_bytes(content)
+    code, out, err = run_cli(capsys, *command, str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InputError: cannot read ")
     assert err.count("\n") == 1
 
 

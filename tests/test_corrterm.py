@@ -349,8 +349,9 @@ def test_conjugate_of_i16_needs_no_search():
 
 
 def test_min_char_square_multiplies_by_no_identity(monkeypatch):
-    # the first LLL transform is the basis of the rest, and a lattice's
-    # witness is χ itself, so no product has an identity factor
+    # the first LLL transform is the basis of the rest, a transform T = I
+    # is not applied, and a lattice's witness is χ itself, so no product
+    # has an identity factor
     rng = random.Random(17)
     real = exactmat.matmul
     factors = []
@@ -359,16 +360,25 @@ def test_min_char_square_multiplies_by_no_identity(monkeypatch):
         factors.extend((a, b))
         return real(a, b)
 
+    def run(gram):
+        lat = lattice_mod.make_lattice(gram)
+        monkeypatch.setattr(exactmat, "matmul", spy)
+        res = corrterm.min_char_square(lat)
+        monkeypatch.undo()
+        _assert_witness(lat, exactmat.identity(len(gram)), res)
+        return res
+
     for n in range(1, 17):
         for ops in (0, 2, 4 * n):
-            gram = basis_change(exactmat.identity(n),
-                                random_unimodular(rng, n, ops=ops))
-            lat = lattice_mod.make_lattice(gram)
-            monkeypatch.setattr(exactmat, "matmul", spy)
-            res = corrterm.min_char_square(lat)
-            monkeypatch.undo()
+            res = run(basis_change(exactmat.identity(n),
+                                   random_unimodular(rng, n, ops=ops)))
             assert res.minimum == n and res.nodes_visited == 0
-            _assert_witness(lat, exactmat.identity(n), res)
+    # in a reduced basis of E8 ⊕ I_k the rest after the input split is
+    # already reduced, so its reduction returns T = I
+    for k in (1, 3):
+        _, gram, _ = exactmat.lll_gram(_padded(e8_gram(), k))
+        res = run(gram)
+        assert res.minimum == k and res.d == -2
     assert not any(f == exactmat.identity(len(f)) for f in factors)
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from latcorr import discgroup, exactmat, lattice as lattice_mod, oracle
 from latcorr.overlattice import (_canonical, int_gram, is_integral,
-                                 is_unimodular,
                                  overlattice as build_overlattice)
 from latcorr.errors import NotIntegral
 
 from conftest import a8_gram, d4_gram, random_posdef_gram, textbook_matmul
-from duality import annihilator, discriminant, dual_of, index_check
+from duality import (annihilator, discriminant, dual_of, index_check,
+                      is_unimodular)
 
 
 def _trivial_subgroup(g):
