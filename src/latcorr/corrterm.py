@@ -190,8 +190,10 @@ def min_char_square(obj):
         t, gram, det = exactmat.lll_gram(gram)
         if det != 1:
             raise InputError(f"correction term requires a unimodular {kind}")
-        if t != exactmat.identity(len(t)):  # T = I: the rest was reduced
-            rows = t if rows is None else exactmat.matmul(t, rows)
+        if rows is None:
+            rows = t
+        elif t != exactmat.identity(len(t)):  # T = I: the rest was reduced
+            rows = exactmat.matmul(t, rows)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
             break

@@ -374,8 +374,9 @@ def test_min_char_square_multiplies_by_no_identity(monkeypatch):
                                    random_unimodular(rng, n, ops=ops)))
             assert res.minimum == n and res.nodes_visited == 0
     # in a reduced basis of E8 ⊕ I_k the rest after the input split is
-    # already reduced, so its reduction returns T = I
-    for k in (1, 3):
+    # already reduced, so its reduction returns T = I; for k = 0 nothing
+    # splits first, and that T = I is the basis of the rest
+    for k in (0, 1, 3):
         _, gram, _ = exactmat.lll_gram(_padded(e8_gram(), k))
         res = run(gram)
         assert res.minimum == k and res.d == -2
