@@ -7,6 +7,9 @@ table P = N·λ(g_i, g_j) mod N, and a lattice-derived group stores its
 generator lifts as integer rows over the one denominator N.  Groups from
 an external table carry orders and P only.
 `pairing` and `generators` are the Fraction views of P and of the lifts.
+Subgroups are found by one depth-first search, run once per prime;
+`metabolizers_of_group` first reads the Witt class of λ on each odd
+p-part, and a nonzero class answers "none" without a search.
 """
 
 import itertools
@@ -283,12 +286,76 @@ def subgroups_of_order(g, m):
     return _subgroups(g, m, isotropic=False)
 
 
+def _witt_class_vanishes(g, q, p):
+    """Whether λ on G_p (p odd, q = p^e the p-part of the exponent) is 0 in
+    the Witt group W(F_p); None when λ on G_p is degenerate.
+
+    G_p is split orthogonally into cyclic summands ⟨u/p^k⟩.  With p^k the
+    largest element order left, a step takes an x among the generators and
+    their pairwise sums with λ(x, x) of order p^k; one exists whenever λ is
+    nondegenerate there (2 is a unit mod p), and then x has order p^k too.
+    Every generator y is replaced by its projection y − c·x onto x^⊥, which
+    divides the order of the part left by p^k, so the loop ends.  A summand
+    with k even is metabolic, and one with k odd has the class of ⟨u⟩ in
+    W(F_p); with r of them, r is even since |G_p| is a square, and the sum
+    vanishes iff the discriminant (−1)^{r/2}·∏u is a square mod p (Euler's
+    criterion).
+    """
+    n = g.exponent
+
+    def pair(x, y):  # N·λ(x, y) mod N
+        return sum(map(mul, _row(g, x), y)) % n
+
+    gens = [tuple(d // gcd(d, q) if j == i else 0
+                  for j in range(len(g.orders)))
+            for i, d in enumerate(g.orders) if d % p == 0]
+    r, units = 0, 1
+    while gens:
+        m = max(element_order(g, y) for y in gens)
+        x = next((x for x in itertools.chain(
+            gens, (add(g, y, z) for y, z in itertools.combinations(gens, 2)))
+            if n // gcd(pair(x, x), n) == m), None)
+        if x is None:
+            return None
+        # λ(x, x) = u/p^k with p^k = m, the order of x, so λ(x, y) has
+        # order dividing m for every y and is cancelled by a multiple of x
+        u = pair(x, x) // (n // m)
+        inv = pow(u, -1, m)
+        rest = []
+        for y in gens:
+            c = pair(x, y) // (n // m) * inv
+            y = tuple((a - c * xa) % d for a, xa, d in zip(y, x, g.orders))
+            if any(y):
+                rest.append(y)
+        gens = rest
+        if isqrt(m) ** 2 != m:
+            r, units = r + 1, units * u
+    return pow((-1) ** (r // 2) * units, (p - 1) // 2, p) == 1
+
+
+def _witt_obstructed(g):
+    """For |G| a square: True when λ on some odd p-part G_p is
+    nondegenerate with a nonzero Witt class, which no form with a
+    metabolizer has: a metabolizer M of G has p-part M_p with
+    |M_p|² = |G_p|, so M_p = M_p^⊥ and λ on G_p is metabolic.  The 2-part
+    is left to the search."""
+    for q in _prime_powers(g.exponent):
+        p = next(d for d in itertools.count(2) if q % d == 0)
+        if p > 2 and _witt_class_vanishes(g, q, p) is False:
+            return True
+    return False
+
+
 def metabolizers_of_group(g):
-    """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0."""
+    """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0.
+
+    There are none when |G| is not a square, or when the Witt class of λ
+    on some odd p-part is nonzero; otherwise they are searched for.
+    """
     _check_cap(g)
     n = g.order
     m = isqrt(n)
-    if m * m != n:
+    if m * m != n or _witt_obstructed(g):
         return []
     return _subgroups(g, m, isotropic=True)
 

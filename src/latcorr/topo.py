@@ -206,6 +206,11 @@ def chain_check(q, table):
     A violated inequality means the d-table cannot belong to the boundary
     of the given filling.  When some metabolizer has min d(Y,t) ≥ 0 and the
     chain holds, the filling lattice embeds in the standard lattice.
+
+    For odd |G| the middle inequality is an equality, and the constrained
+    minimum is taken as d_{U(M)} without a search: [L* : U(M)] = |M| is
+    odd, so Λ = U ∩ 2L* = 2U, and the characteristic covectors of L in U
+    form one coset of 2U holding U's own characteristic coset.
     """
     filling = linking_form_of_filling(q)
     _require_complete(table)
@@ -223,7 +228,10 @@ def chain_check(q, table):
     embeds = False
     for entry in corrterm.d_set(grp).entries:
         m, d_over = entry.metabolizer, entry.result.d
-        cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
+        if grp.order % 2:
+            cmin = d_over  # the L-characteristic covectors in U(M) are U's
+        else:
+            cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
         tmin = min(values[e] for e in m.elements)
         failure = None
         if d_over > 0:

@@ -329,21 +329,30 @@ def test_json_output_is_deterministic(capsys):
     assert p1 == p2
 
 
+def _diag_files(tmp_path, ds, value="0"):
+    """diag(ds) and a complete d-table on its boundary with every value
+    `value`."""
+    gram = [[d if i == j else 0 for j in range(len(ds))]
+            for i, d in enumerate(ds)]
+    name = "diag" + "".join(map(str, ds))
+    lat_file = tmp_path / f"{name}.json"
+    lat_file.write_text(json.dumps({"gram": gram}))
+    filling = topo.linking_form_of_filling(gram)
+    orders = filling.group.orders
+    elems = itertools.product(*(range(d) for d in orders))
+    table_file = tmp_path / f"{name}_table.json"
+    table_file.write_text(json.dumps({
+        "orders": list(orders),
+        "pairing": [[str(x) for x in row] for row in filling.boundary_pairing],
+        "d": [{"elem": list(e), "value": value} for e in elems],
+        "z2_homology_sphere": all(d % 2 for d in orders)}))
+    return lat_file, table_file
+
+
 def _diag3333_files(tmp_path):
     """diag(3,3,3,3), whose group (Z/3)⁴ has 8 metabolizers, and a complete
     d-table on its boundary."""
-    gram = [[3 if i == j else 0 for j in range(4)] for i in range(4)]
-    lat_file = tmp_path / "diag3333.json"
-    lat_file.write_text(json.dumps({"gram": gram}))
-    filling = topo.linking_form_of_filling(gram)
-    elems = itertools.product(*(range(d) for d in filling.group.orders))
-    table_file = tmp_path / "diag3333_table.json"
-    table_file.write_text(json.dumps({
-        "orders": list(filling.group.orders),
-        "pairing": [[str(x) for x in row] for row in filling.boundary_pairing],
-        "d": [{"elem": list(e), "value": "0"} for e in elems],
-        "z2_homology_sphere": True}))
-    return lat_file, table_file, 8
+    return (*_diag_files(tmp_path, (3, 3, 3, 3)), 8)
 
 
 @pytest.mark.parametrize("command", ["dset", "embed-check", "chain"])
@@ -432,11 +441,13 @@ def test_bundled_commands_call_no_fraction_reference(capsys, monkeypatch):
 def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,
                                                       tmp_path):
     # each constrained minimum is one search over its characteristic coset,
-    # on the U(M) that d_set built: 8 intermediate lattices in all, each
+    # on the U(M) that d_set built: 3 intermediate lattices in all, each
     # built by overlattice._canonical (the package attribute `overlattice`
-    # is the function, hence the module lookup)
+    # is the function, hence the module lookup).  The group (Z/2)⁴ of
+    # diag(2,2,2,2) has even order, so the coset is searched
     overlattice = importlib.import_module("latcorr.overlattice")
-    lat_file, table_file, n_mets = _diag3333_files(tmp_path)
+    lat_file, table_file = _diag_files(tmp_path, (2, 2, 2, 2), "-1")
+    n_mets = 3
     builds, searches, inside = [], [], []
     real_canonical = overlattice._canonical
     real_coset_min = corrterm.coset_min
@@ -468,6 +479,42 @@ def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,
     assert len(payload["evidence"]) == n_mets
     assert searches == [1] * n_mets
     assert len(builds) == n_mets
+
+
+def test_chain_takes_d_of_u_as_the_constrained_min_for_odd_order(
+        capsys, monkeypatch, tmp_path):
+    # for odd |G| the characteristic covectors of L in U(M) are those of
+    # U(M), so the chain reports d_U(M) without a constrained search, and
+    # that value is what the search would have found
+    lat_file, table_file, n_mets = _diag3333_files(tmp_path)
+    grp = discgroup.disc_group(lattice_mod.load_lattice(str(lat_file)))
+    direct = {e.metabolizer.elements: corrterm.constrained_min(
+        grp.lattice, e.overlattice) for e in corrterm.d_set(grp).entries}
+    assert len(direct) == n_mets
+
+    def forbidden(*args):
+        raise AssertionError("constrained_min called")
+
+    monkeypatch.setattr(corrterm, "constrained_min", forbidden)
+    code, payload = run_json(capsys, "topo", "chain", "--filling",
+                             str(lat_file), "--dtable", str(table_file))
+    assert code == 0
+    got = {tuple(map(tuple, rec["metabolizer"])): rec["constrained_min"]
+           for rec in payload["evidence"]}
+    assert got == {m: str(v) for m, v in direct.items()}
+    assert all(rec["constrained_min"] == rec["d_overlattice"]
+               for rec in payload["evidence"])
+
+
+def test_metabolizer_oracle_agrees_on_an_anisotropic_form(capsys, tmp_path):
+    # the Witt certificate answers for I₄ ⊕ diag(3, 3), and the oracle's
+    # brute search agrees that there is no metabolizer
+    lat_file, _ = _diag_files(tmp_path, (1, 1, 1, 1, 3, 3))
+    code, payload = run_json(capsys, "lattice", "metabolizers", str(lat_file),
+                             "--oracle")
+    assert code == 0
+    assert payload["metabolizers"] == []
+    assert "oracle: metabolizers agree" in payload["notes"]
 
 
 @pytest.mark.parametrize("gram", [

@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -464,3 +464,138 @@ def test_search_builds_only_subgroups_dividing_the_order(rng, monkeypatch):
         n_built += sets_built(isqrt(g.order), discgroup.metabolizers_of_group,
                               g)
     assert n_built > 1000
+
+
+def _table_form(rng, p, diagonal):
+    """A seeded table form of square order on a p-group with exponent up to
+    p³ and |G| ≤ 625: if diagonal, random units on the diagonal; otherwise
+    random entries λ(g_i, g_j) of order dividing min(d_i, d_j) everywhere,
+    so that some forms are degenerate."""
+    while True:
+        ds = sorted(p ** rng.choice((1, 1, 2, 3))
+                    for _ in range(rng.randint(1, 4)))
+        if isqrt(prod(ds)) ** 2 == prod(ds) and prod(ds) <= 625:
+            break
+    table = [[Fraction(0)] * len(ds) for _ in ds]
+    for i, d in enumerate(ds):
+        for j in range(i + 1):
+            if diagonal and j == i:
+                table[i][i] = Fraction(rng.choice(
+                    [u for u in range(d) if u % p]), d)
+            elif not diagonal:
+                table[i][j] = table[j][i] = Fraction(rng.randrange(ds[j]),
+                                                     ds[j])
+    return discgroup.group_from_table(ds, table)
+
+
+def _searched_metabolizers(g):
+    """The metabolizers found without the Witt certificate: by the oracle
+    when |G| ≤ 512, by the search above that."""
+    m = isqrt(g.order)
+    if g.order <= 512:
+        return [s.elements for s in oracle.brute_subgroups(g)
+                if s.order == m and all(oracle.lam(g, x, y) == 0
+                                        for x in s.elements
+                                        for y in s.elements)]
+    return [s.elements for s in discgroup._subgroups(g, m, isotropic=True)]
+
+
+def _nondegenerate(g):
+    try:
+        topo._check_nondegenerate(g)
+    except InputError:
+        return False
+    return True
+
+
+def test_witt_class_decides_whether_a_metabolizer_exists(rng):
+    # on a nondegenerate form of odd square order, the Witt class of some
+    # p-part is nonzero iff there is no metabolizer; on a degenerate one
+    # the certificate decides nothing
+    groups = [_table_form(rng, rng.choice((3, 5, 7, 11, 13)), True)
+              for _ in range(10)]
+    groups += [_table_form(rng, rng.choice((3, 5, 7)), False)
+               for _ in range(12)]
+    groups += [_conjugate_group(rng, _diag(ds)) for ds in (
+        (3, 3), (5, 5), (7, 7), (3, 27), (9, 9), (5, 125), (11, 11),
+        (3, 3, 9, 9), (5, 5, 5, 5), (5, 5, 7, 7))]
+    n_lattices = 0
+    while n_lattices < 8:
+        # seeded B·Bᵀ lattices, whose discriminant (det B)² is a square
+        g = discgroup.disc_group(lattice_mod.make_lattice(
+            random_posdef_gram(rng, max_rank=5, max_disc=150)))
+        if g.order % 2 and g.order > 1 and isqrt(g.order) ** 2 == g.order:
+            groups.append(g)
+            n_lattices += 1
+    tally = {True: 0, False: 0, None: 0}
+    for g in groups:
+        obstructed = discgroup._witt_obstructed(g)
+        if _nondegenerate(g):
+            assert obstructed == (_searched_metabolizers(g) == []), g
+            tally[obstructed] += 1
+        else:
+            assert obstructed is False
+            assert [s.elements for s in discgroup.metabolizers_of_group(g)
+                    ] == _searched_metabolizers(g)
+            tally[None] += 1
+    assert tally[True] >= 5 and tally[False] >= 5 and tally[None] >= 1
+
+
+def _forbid_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the metabolizer search ran")
+
+    monkeypatch.setattr(discgroup, "closure", forbidden)
+    monkeypatch.setattr(discgroup, "_search", forbidden)
+
+
+def test_anisotropic_odd_parts_need_no_search(rng, monkeypatch):
+    # 3⁶ and 3²⊕9² with diagonal forms, and the lattices I₄ ⊕ diag(3, 3)
+    # and I₃ ⊕ A₂ ⊕ A₂, have no metabolizer, and a nonzero Witt class of
+    # their 3-part says so before any subgroup is built
+    i3_a2_a2 = [[int(i == j) for j in range(3)] + [0] * 4
+                for i in range(3)] + [[0] * 3 + row for row in A2_A2]
+    groups = [_conjugate_group(rng, gram) for gram in (
+        _diag((3,) * 6), _diag((3, 3, 9, 9)), _diag((1, 1, 1, 1, 3, 3)),
+        i3_a2_a2)]
+    assert [g.orders for g in groups] == [(3,) * 6, (3, 3, 9, 9), (3, 3),
+                                          (3, 3)]
+    _forbid_search(monkeypatch)
+    for g in groups:
+        assert discgroup.metabolizers_of_group(g) == []
+
+
+def test_witt_certificate_leaves_the_two_part_to_the_search(monkeypatch):
+    # on 6² the 3-part ⟨1/3⟩ ⊕ ⟨1/3⟩ is anisotropic, so nothing is built;
+    # the 2-part ⟨1/2⟩ ⊕ ⟨1/2⟩, the image of that form at p = 2, has the
+    # metabolizer {0, (1, 1)}, and beside the 3-part ⟨1/3⟩ ⊕ ⟨2/3⟩ of class
+    # zero it is searched and found
+    anisotropic = discgroup.group_from_table((6, 6), [["5/6", "0"],
+                                                      ["0", "5/6"]])
+    mixed = discgroup.group_from_table((6, 6), [["5/6", "0"],
+                                                ["0", "1/6"]])
+    expect = _searched_metabolizers(mixed)
+    assert len(expect) == 2
+    built = []
+    closure = discgroup.closure
+
+    def recording(*args):
+        built.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(discgroup, "closure", recording)
+    assert [s.elements for s in discgroup.metabolizers_of_group(mixed)
+            ] == expect
+    assert built
+    _forbid_search(monkeypatch)
+    assert _searched_metabolizers(anisotropic) == []
+    assert discgroup.metabolizers_of_group(anisotropic) == []
+
+
+def test_witt_certificate_ends_on_a_degenerate_form():
+    # λ vanishes on the second generator, so no split reaches it: the
+    # certificate decides nothing and the search answers
+    g = discgroup.group_from_table((3, 3), [["1/3", "0"], ["0", "0"]])
+    assert discgroup._witt_obstructed(g) is False
+    assert [s.elements for s in discgroup.metabolizers_of_group(g)] == [
+        ((0, 0), (0, 1), (0, 2))]
