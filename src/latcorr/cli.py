@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import corrterm, discgroup, lattice as lattice_mod, oracle, topo
 from .errors import (InvariantViolation, LatcorrError, OracleDisagreement,
@@ -38,12 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise LatcorrError(message)
 
 
-def _frac(x):
-    return str(Fraction(x))
-
-
 def _pairing_json(pairing):
-    return [[_frac(x) for x in row] for row in pairing]
+    return [[str(x) for x in row] for row in pairing]
 
 
 def _subgroup_json(m):
@@ -194,8 +189,8 @@ def _run_lattice(args):
                 _check_char_min_oracle(e.overlattice, e.result.minimum, notes)
         entries = [{"metabolizer": [list(x) for x in e.metabolizer.elements],
                     "min_char_square": e.result.minimum,
-                    "witness": [_frac(x) for x in e.result.witness],
-                    "d": _frac(e.result.d)} for e in ds.entries]
+                    "witness": [str(x) for x in e.result.witness],
+                    "d": str(e.result.d)} for e in ds.entries]
         if args.command == "dset":
             return 0, {"entries": entries, "contains_zero": ds.contains_zero,
                        "notes": notes}
@@ -212,8 +207,8 @@ def _run_lattice(args):
         res = corrterm.min_char_square(lat)
         if args.oracle:
             _check_char_min_oracle(lat, res.minimum, notes)
-        return 0, {"d": _frac(res.d), "min_char_square": res.minimum,
-                   "witness": [_frac(x) for x in res.witness], "notes": notes}
+        return 0, {"d": str(res.d), "min_char_square": res.minimum,
+                   "witness": [str(x) for x in res.witness], "notes": notes}
     raise LatcorrError(f"unknown lattice command {args.command}")
 
 
@@ -229,14 +224,14 @@ def _report_json(report):
     for rec in report.evidence:
         item = {"metabolizer": [list(e) for e in rec.metabolizer.elements]}
         if rec.d_values is not None:
-            item["d_values"] = [{"elem": list(e), "value": _frac(v)}
+            item["d_values"] = [{"elem": list(e), "value": str(v)}
                                 for e, v in rec.d_values]
         if rec.d_over is not None:
-            item["d_overlattice"] = _frac(rec.d_over)
+            item["d_overlattice"] = str(rec.d_over)
         if rec.constrained is not None:
-            item["constrained_min"] = _frac(rec.constrained)
+            item["constrained_min"] = str(rec.constrained)
         if rec.table_min is not None:
-            item["table_min"] = _frac(rec.table_min)
+            item["table_min"] = str(rec.table_min)
         if rec.chain_holds is not None:
             item["chain_holds"] = rec.chain_holds
         if rec.failure is not None:

@@ -9,7 +9,8 @@ an external table carry orders and P only.
 `pairing` and `generators` are the Fraction views of P and of the lifts.
 Subgroups are found by one depth-first search, run once per prime;
 `metabolizers_of_group` first reads the Witt class of λ on each odd
-p-part, and a nonzero class answers "none" without a search.
+p-part, and a nonzero class answers "none" without a search; the 2-part
+never obstructs.
 """
 
 import itertools
@@ -338,7 +339,9 @@ def _witt_obstructed(g):
     nondegenerate with a nonzero Witt class, which no form with a
     metabolizer has: a metabolizer M of G has p-part M_p with
     |M_p|² = |G_p|, so M_p = M_p^⊥ and λ on G_p is metabolic.  The 2-part
-    is left to the search."""
+    never obstructs: a nondegenerate form on a 2-group of square order
+    > 1 has a nonzero isotropic x, and ⟨x⟩^⊥/⟨x⟩ is again one of square
+    order, so it has a metabolizer by induction."""
     for q in _prime_powers(g.exponent):
         p = next(d for d in itertools.count(2) if q % d == 0)
         if p > 2 and _witt_class_vanishes(g, q, p) is False:

@@ -4,9 +4,10 @@ Matrices are plain lists of lists of Python ints (arbitrary precision).
 Factorizations are fraction-free: `ldl` and `lll_gram` carry leading minors
 and scaled Gram–Schmidt coefficients as integers, `det` is Bareiss
 elimination, `hnf` returns the canonical row basis H alone, `snf` returns
-both unimodular transforms, and `solve_mod2` places a class mod 2, so no
-transform is inverted.  Nothing here builds a fractions.Fraction or a
-float; the Fraction inverse and LDLᵀ that the oracles use live in `oracle`.
+the elementary divisors and the column transform V alone, and `solve_mod2`
+places a class mod 2, so no transform is inverted.  Nothing here builds a
+fractions.Fraction or a float; the Fraction inverse and LDLᵀ that the
+oracles use live in `oracle`.
 """
 
 from dataclasses import dataclass
@@ -137,58 +138,59 @@ def hnf(a):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_k."""
+    """U·A·V = D for some unimodular U, with V unimodular and D diagonal,
+    d_1 | d_2 | ... | d_k; only the diagonal and V are kept."""
 
-    d: tuple
-    u: tuple
+    divisors: tuple
     v: tuple
-
-    @property
-    def divisors(self):
-        k = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return tuple(self.d[i][i] for i in range(k))
 
 
 def snf(a):
-    """Smith normal form by elementary row/column operations.
+    """Smith normal form by elementary row/column operations, tracking V
+    alone: no caller reads U.
 
-    Chooses the smallest nonzero pivot at each step; the divisibility chain
-    is enforced by re-reducing whenever a remaining entry is not divisible
-    by the current pivot.
+    The pivot is the minimum of (|x|, i, j) over the nonzero entries of the
+    remaining block, so a ±1 ends the scan at the first one in row-major
+    order; the divisibility chain is enforced by re-reducing whenever a
+    remaining entry is not divisible by the current pivot.
     """
     rows, cols = dims(a)
     d = copy_matrix(a)
-    u = identity(rows)
     v = identity(cols)
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def col_op(i, j, q):  # col i -= q * col j, skipping zeros of col j
+        for m in (d, v):
+            for row in m:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for m in (d, v):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    def pivot(t):
+        best = None
+        for i in range(t, rows):
+            row = d[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = abs(x), i, j
+                    if best[0] == 1:
+                        return best
+        return best
 
     t = 0
     while t < min(rows, cols):
-        live = [(abs(d[i][j]), i, j) for i in range(t, rows)
-                for j in range(t, cols) if d[i][j] != 0]
-        if not live:
+        best = pivot(t)
+        if best is None:
             break
-        _, pi, pj = min(live)
-        swap_rows(t, pi)
+        _, pi, pj = best
+        d[t], d[pi] = d[pi], d[t]
         swap_cols(t, pj)
         dirty = True
         while dirty:
@@ -197,7 +199,7 @@ def snf(a):
                 if d[i][t] != 0:
                     row_op(i, t, d[i][t] // d[t][t])
                     if d[i][t] != 0:
-                        swap_rows(t, i)
+                        d[t], d[i] = d[i], d[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
@@ -206,27 +208,18 @@ def snf(a):
                         swap_cols(t, j)
                         dirty = True
         # divisibility fix-up: fold any non-divisible entry into the pivot
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    row_op(t, i, -1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        p = d[t][t]
+        i = next((i for i in range(t + 1, rows)
+                  if any(x % p for x in d[i][t + 1:])), None)
+        if i is not None:
+            row_op(t, i, -1)
             continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+        d[t][t] = abs(p)
         t += 1
 
-    return SmithDecomposition(
-        d=tuple(tuple(row) for row in d),
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
-    )
+    k = min(rows, cols)
+    return SmithDecomposition(divisors=tuple(d[i][i] for i in range(k)),
+                              v=tuple(tuple(row) for row in v))
 
 
 def _extend(g, d, lam, k):
@@ -336,39 +329,48 @@ def is_positive_definite(g):
 
 
 def solve_mod2(a, b):
-    """Solve A·x = b over F₂.
+    """Solve A·x = b over F₂ by Gauss–Jordan elimination on bit-packed
+    rows: bit j of row i is a_ij mod 2 and bit `cols` is b_i mod 2, so a
+    row operation is one XOR.
 
     Returns (particular, kernel_basis) as 0/1 lists, or None when the
     system has no solution.
     """
     rows, cols = dims(a)
-    m = [[a[i][j] & 1 for j in range(cols)] + [b[i] & 1] for i in range(rows)]
+    m = []
+    for i in range(rows):
+        row, packed = a[i], (b[i] & 1) << cols
+        for j in range(cols):
+            if row[j] & 1:
+                packed |= 1 << j
+        m.append(packed)
     pivots = []
     r = 0
     for c in range(cols):
-        p = next((i for i in range(r, rows) if m[i][c]), None)
+        bit = 1 << c
+        p = next((i for i in range(r, rows) if m[i] & bit), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
+        pivot = m[r]
         for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = [x ^ y for x, y in zip(m[i], m[r])]
+            if i != r and m[i] & bit:
+                m[i] ^= pivot
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
+    if any(m[i] >> cols for i in range(r, rows)):
+        return None
     x = [0] * cols
     for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
+        x[c] = m[i] >> cols
     free = [c for c in range(cols) if c not in pivots]
     kernel = []
     for f in free:
         k = [0] * cols
         k[f] = 1
         for i, c in enumerate(pivots):
-            k[c] = m[i][f]
+            k[c] = m[i] >> f & 1
         kernel.append(k)
     return x, kernel

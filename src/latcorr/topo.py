@@ -63,16 +63,25 @@ class ObstructionReport:
     orientation_note: str = None
 
 
+# only p or p/q: Fraction alone takes "1e999999999" and builds a 10⁹-digit
+# integer; [0-9] and not \d, which would take other scripts' digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rational(s):
-    if type(s) not in (str, int):  # a float is rounded, a bool no number
-        raise InputError(f"bad rational value {s!r}: not a string or int")
-    try:
-        # only p or p/q: Fraction alone takes "1e999999999" and builds a
-        # 10⁹-digit integer
-        if type(s) is str and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
-            raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    if type(s) is int:
         return Fraction(s)
+    if type(s) is not str:  # a float is rounded, a bool no number
+        raise InputError(f"bad rational value {s!r}: not a string or int")
+    m = _RATIONAL.fullmatch(s)
+    try:
+        if m is None:
+            raise ValueError(f"Invalid literal for Fraction: {s!r}")
+        p, q = m.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as e:
+        # int() past the digit limit and Fraction(p, 0) raise the messages
+        # Fraction(s) raises, so the error line is the same either way
         raise InputError(f"bad rational value {s!r}: {e}")
 
 
@@ -106,14 +115,26 @@ def load_dtable(path):
                     for row in _expect(obj["pairing"], list, "pairing"))
     grp = discgroup.group_from_table(orders, pairing)
     _check_nondegenerate(grp)
+    # each record is checked and parsed in one pass; a key is checked
+    # against the orders, never against an enumeration of G
+    ranges = tuple(map(range, orders))
     values = {}
     for rec in _expect(obj["d"], list, "'d'"):
-        if "elem" not in _expect(rec, dict, "record") or "value" not in rec:
+        if type(rec) is not dict:
+            raise InputError(
+                f"d-table record must be a JSON dict, got {rec!r}")
+        if "elem" not in rec or "value" not in rec:
             raise InputError("d-table record lacks 'elem' or 'value'")
-        elem = tuple(_expect(a, int, "element")
-                     for a in _expect(rec["elem"], list, "elem"))
-        if len(elem) != len(orders) or any(
-                not 0 <= a < d for a, d in zip(elem, orders)):
+        elem = rec["elem"]
+        if type(elem) is not list:
+            raise InputError(f"d-table elem must be a JSON list, got {elem!r}")
+        for a in elem:
+            if type(a) is not int:  # a bool is no int
+                raise InputError(
+                    f"d-table element must be a JSON int, got {a!r}")
+        elem = tuple(elem)
+        if len(elem) != len(ranges) or \
+                not all(map(range.__contains__, ranges, elem)):
             raise InputError(f"d-table element {elem} out of range")
         if elem in values:
             raise InputError(f"duplicate d-table element {elem}")

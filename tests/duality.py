@@ -4,9 +4,11 @@ Index duality, U(M)* = U(M^⊥), the constrained-minimum scan and the
 characteristic witness are stated on the dual lattice, which the library
 never builds.  These helpers build it from the Fraction references of
 `latcorr.oracle`.  Vectors are rational coordinate vectors in the basis of
-the lattice.
+the lattice.  `snf` is the reference Smith form that also tracks the row
+transform U, which the library's `exactmat.snf` drops.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -39,9 +41,105 @@ def is_characteristic(lat, chi):
     return all((int(wi) - lat.gram[i][i]) % 2 == 0 for i, wi in enumerate(w))
 
 
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_k."""
+
+    d: tuple
+    u: tuple
+    v: tuple
+
+    @property
+    def divisors(self):
+        k = min(len(self.d), len(self.d[0]) if self.d else 0)
+        return tuple(self.d[i][i] for i in range(k))
+
+
+def snf(a):
+    """Smith normal form by elementary row/column operations, with both
+    transforms.  The same pivots and operations as `exactmat.snf`, which
+    must return the same divisors and V.
+
+    Chooses the smallest nonzero pivot at each step; the divisibility chain
+    is enforced by re-reducing whenever a remaining entry is not divisible
+    by the current pivot.
+    """
+    rows, cols = exactmat.dims(a)
+    d = exactmat.copy_matrix(a)
+    u = exactmat.identity(rows)
+    v = exactmat.identity(cols)
+
+    def row_op(i, j, q):  # row i -= q * row j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for row in d:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(rows, cols):
+        live = [(abs(d[i][j]), i, j) for i in range(t, rows)
+                for j in range(t, cols) if d[i][j] != 0]
+        if not live:
+            break
+        _, pi, pj = min(live)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    row_op(i, t, d[i][t] // d[t][t])
+                    if d[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    col_op(j, t, d[t][j] // d[t][t])
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+        # divisibility fix-up: fold any non-divisible entry into the pivot
+        fixed = False
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i][j] % d[t][t] != 0:
+                    row_op(t, i, -1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return SmithDecomposition(
+        d=tuple(tuple(row) for row in d),
+        u=tuple(tuple(row) for row in u),
+        v=tuple(tuple(row) for row in v),
+    )
+
+
 @lru_cache(maxsize=None)
 def _smith(gram):
-    dec = exactmat.snf([list(row) for row in gram])
+    dec = snf([list(row) for row in gram])
     return dec.u, dec.divisors
 
 

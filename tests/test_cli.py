@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -712,3 +714,103 @@ def test_topo_filling_commands_build_one_lattice(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert len(calls) == 1
+
+
+# The d-table reader's error lines, recorded as literals from the reader
+# that checked each record with `_expect` and parsed each value with
+# `Fraction(str)`; the one-pass reader must print them byte for byte.
+_L41_GROUP = {"orders": [4], "pairing": [["3/4"]],
+              "z2_homology_sphere": False}
+_DIGITS = "7" * 5000
+_DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string "
+                "conversion: value has 5000 digits; use "
+                "sys.set_int_max_str_digits() to increase the limit")
+_DTABLE_REJECTIONS = [
+    ([5], "d-table record must be a JSON dict, got 5"),
+    ([[0, "1"]], "d-table record must be a JSON dict, got [0, '1']"),
+    ([{"value": "0"}], "d-table record lacks 'elem' or 'value'"),
+    ([{"elem": [0]}], "d-table record lacks 'elem' or 'value'"),
+    ([{"elem": 0, "value": "0"}], "d-table elem must be a JSON list, got 0"),
+    ([{"elem": "0", "value": "0"}],
+     "d-table elem must be a JSON list, got '0'"),
+    ([{"elem": [True], "value": "0"}],
+     "d-table element must be a JSON int, got True"),
+    ([{"elem": [1.0], "value": "0"}],
+     "d-table element must be a JSON int, got 1.0"),
+    ([{"elem": [9, True], "value": "0"}],
+     "d-table element must be a JSON int, got True"),
+    ([{"elem": [0, 0], "value": "0"}], "d-table element (0, 0) out of range"),
+    ([{"elem": [], "value": "0"}], "d-table element () out of range"),
+    ([{"elem": [-1], "value": "0"}], "d-table element (-1,) out of range"),
+    ([{"elem": [4], "value": "0"}], "d-table element (4,) out of range"),
+    ([{"elem": [1], "value": "0"}, {"elem": [1], "value": "1"}],
+     "duplicate d-table element (1,)"),
+    ([{"elem": [0], "value": 0.5}],
+     "bad rational value 0.5: not a string or int"),
+    ([{"elem": [0], "value": True}],
+     "bad rational value True: not a string or int"),
+    ([{"elem": [0], "value": None}],
+     "bad rational value None: not a string or int"),
+    ([{"elem": [0], "value": "1/0"}],
+     "bad rational value '1/0': Fraction(1, 0)"),
+    ([{"elem": [0], "value": "-3/0"}],
+     "bad rational value '-3/0': Fraction(-3, 0)"),
+    ([{"elem": [0], "value": "1/2/3"}],
+     "bad rational value '1/2/3': Invalid literal for Fraction: '1/2/3'"),
+    ([{"elem": [0], "value": " 1"}],
+     "bad rational value ' 1': Invalid literal for Fraction: ' 1'"),
+    ([{"elem": [0], "value": "1e5"}],
+     "bad rational value '1e5': Invalid literal for Fraction: '1e5'"),
+    ([{"elem": [0], "value": "٣"}],
+     "bad rational value '٣': Invalid literal for Fraction: '٣'"),
+    ([{"elem": [0], "value": "1\n"}],
+     "bad rational value '1\\n': Invalid literal for Fraction: '1\\n'"),
+    ([{"elem": [0], "value": _DIGITS}],
+     f"bad rational value '{_DIGITS}': {_DIGIT_LIMIT}"),
+    ([{"elem": [0], "value": "-" + _DIGITS}],
+     f"bad rational value '-{_DIGITS}': {_DIGIT_LIMIT}"),
+    ([{"elem": [0], "value": "1/" + _DIGITS}],
+     f"bad rational value '1/{_DIGITS}': {_DIGIT_LIMIT}"),
+]
+
+
+@pytest.mark.parametrize("records, message", _DTABLE_REJECTIONS,
+                         ids=[f"rejection-{i}" for i in
+                              range(len(_DTABLE_REJECTIONS))])
+def test_dtable_rejections_keep_their_error_lines(capsys, tmp_path, records,
+                                                  message):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({**_L41_GROUP, "d": records}, ensure_ascii=False),
+                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "topo", "rb-obstruction",
+                             "--dtable", str(p))
+    assert (code, out, err) == (1, "", f"error: InputError: {message}\n")
+
+
+def test_dtable_accepted_forms_keep_their_values(tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({**_L41_GROUP, "d": [
+        {"elem": [i], "value": v}
+        for i, v in enumerate(["+1/2", "-0", "4/6", 3])]}))
+    values = topo.load_dtable(str(p)).values
+    assert values == {(0,): Fraction(1, 2), (1,): 0, (2,): Fraction(2, 3),
+                      (3,): 3}
+    assert all(type(v) is Fraction for v in values.values())
+
+
+def test_dtable_keys_are_checked_without_enumerating_the_group(capsys,
+                                                              tmp_path):
+    # a key is checked against the orders, so a group of 10¹² elements
+    # with one record is read at once and found incomplete
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"orders": [10 ** 12],
+                             "pairing": [["1/1000000000000"]],
+                             "d": [{"elem": [5], "value": "0"}],
+                             "z2_homology_sphere": False}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "topo", "rb-obstruction",
+                             "--dtable", str(p))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        1, "", "error: IncompleteTable: d-table does not key every element "
+               "of the group\n")

@@ -9,7 +9,7 @@ from latcorr.errors import GroupTooLarge, InputError
 
 from conftest import (DATA_DIR, a8_gram, basis_change, d4_gram,
                       random_posdef_gram, random_unimodular)
-from duality import annihilator, lift, pairing
+from duality import annihilator, lift, pairing, snf as smith_reference
 
 
 def test_disc_group_of_nine():
@@ -39,7 +39,7 @@ def test_disc_group_generators_are_dual_lifts(rng):
     for _ in range(20):
         gram = random_posdef_gram(rng, max_rank=5, max_disc=200)
         g = discgroup.disc_group(lattice_mod.make_lattice(gram))
-        dec = exactmat.snf(gram)
+        dec = smith_reference(gram)
         ginv = oracle.inverse(gram)
         uinv = oracle.inverse([list(r) for r in dec.u])
         expect = tuple(
@@ -539,6 +539,46 @@ def test_witt_class_decides_whether_a_metabolizer_exists(rng):
                     ] == _searched_metabolizers(g)
             tally[None] += 1
     assert tally[True] >= 5 and tally[False] >= 5 and tally[None] >= 1
+
+
+def _two_primary_form(rng, ds):
+    """A seeded nondegenerate table form on the 2-group ⊕ Z/d_i: random
+    entries λ(g_i, g_j) of order dividing min(d_i, d_j), redrawn until the
+    form passes the d-table reader's nondegeneracy check."""
+    while True:
+        table = [[Fraction(0)] * len(ds) for _ in ds]
+        for i, d in enumerate(ds):
+            for j in range(i, len(ds)):
+                table[i][j] = table[j][i] = Fraction(rng.randrange(d), d)
+        g = discgroup.group_from_table(ds, table)
+        if _nondegenerate(g):
+            return g
+
+
+def test_two_primary_forms_of_square_order_are_metabolic(rng):
+    # a nonzero isotropic x of order 2 exists once |G| > 2: 2^{k-1}·y for y
+    # of order 2^k ≥ 4, else one of a, b, a + b for independent a, b of
+    # order 2; H^⊥/H for H = ⟨x⟩ is again nondegenerate of square order,
+    # so by induction a metabolizer exists and the 2-part never obstructs.
+    # The oracle enumerates every subgroup, which on 2⁶ (2,825 of them)
+    # takes seconds, so there each metabolizer is checked directly.
+    for ds in ((2, 2), (4,), (2,) * 4, (2, 2, 4), (4, 4), (2, 2, 4, 4),
+               (8, 8), (2,) * 6):
+        for _ in range(2):
+            g = _two_primary_form(rng, ds)
+            assert discgroup._witt_obstructed(g) is False
+            mets = discgroup.metabolizers_of_group(g)
+            assert mets, ds
+            if ds != (2,) * 6:
+                assert [s.elements for s in mets] == \
+                    _searched_metabolizers(g)
+                continue
+            for s in mets:
+                assert s.order ** 2 == g.order
+                assert all(discgroup.add(g, x, y) in s.elements
+                           for x in s.generators for y in s.elements)
+                assert all(oracle.lam(g, x, y) == 0
+                           for x in s.generators for y in s.generators)
 
 
 def _forbid_search(monkeypatch):

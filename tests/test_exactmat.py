@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -10,6 +10,7 @@ from latcorr.errors import NotPositiveDefinite
 
 from conftest import (a8_gram, basis_change, e8_gram, random_unimodular,
                       textbook_matmul)
+from duality import snf as smith_reference
 
 
 def cofactor_det(a):
@@ -193,13 +194,37 @@ def test_snf_a8_divisors_against_minor_gcd_oracle():
     assert list(dec.divisors) == expected
 
 
-def test_snf_random_property():
+def _snf_random_cases():
     rng = random.Random(11)
     for _ in range(50):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        a = [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
-        dec = exactmat.snf(a)
+        yield [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
+
+
+def _snf_lattice_cases():
+    """Pipeline-shaped B·Bᵀ (B = I_n with one or two rows replaced, then a
+    basis change, n from 5 to 9) and direct sums of A8 and E8."""
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(5, 9)
+        b = exactmat.identity(n)
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            b[i] = [rng.randint(0, 1) for _ in range(n)]
+            b[i][i] = rng.randint(2, 5)
+        g = exactmat.matmul(b, exactmat.transpose(b))
+        yield basis_change(g, random_unimodular(rng, n, ops=3))
+    a8, e8 = a8_gram(), e8_gram()
+    for x, y in ((a8, e8), (e8, a8), (a8, a8), (e8, e8)):
+        g = [row + [0] * 8 for row in x] + [[0] * 8 + row for row in y]
+        yield g
+        yield basis_change(g, random_unimodular(rng, 16, ops=12))
+
+
+def test_snf_random_property():
+    # the reference form with both transforms: U·A·V = D
+    for a in _snf_random_cases():
+        dec = smith_reference(a)
         u = [list(r) for r in dec.u]
         v = [list(r) for r in dec.v]
         assert exactmat.matmul(exactmat.matmul(u, a), v) == [list(r) for r in dec.d]
@@ -211,6 +236,29 @@ def test_snf_random_property():
         # zeros only after the nonzero chain
         tail = list(dec.divisors[len(divs):])
         assert all(d == 0 for d in tail)
+
+
+def test_snf_matches_the_reference_with_both_transforms():
+    # same pivots, same operations: the divisors and V are the reference's
+    cases = list(_snf_random_cases()) + list(_snf_lattice_cases())
+    for a in cases:
+        dec, ref = exactmat.snf(a), smith_reference(a)
+        assert dec.divisors == ref.divisors
+        assert dec.v == ref.v
+
+
+def test_snf_v_is_unimodular_and_g_v_d_inverse_is_unimodular():
+    # on the library's own result: with U·G·V = D, U⁻¹ = G·V·D⁻¹ must be
+    # an integer matrix with |det| = 1
+    for g in _snf_lattice_cases():
+        dec = exactmat.snf(g)
+        v = [list(r) for r in dec.v]
+        assert abs(exactmat.det(v)) == 1
+        gv = exactmat.matmul(g, v)
+        assert all(x % d == 0 for row in gv
+                   for x, d in zip(row, dec.divisors))
+        uinv = [[x // d for x, d in zip(row, dec.divisors)] for row in gv]
+        assert abs(exactmat.det(uinv)) == 1
 
 
 def test_det_examples():
@@ -259,6 +307,96 @@ def test_solve_mod2_roundtrip():
         for k in kernel:
             assert all(sum(a[i][j] * k[j] for j in range(cols)) % 2 == 0
                        for i in range(rows))
+
+
+def _solve_mod2_reference(a, b):
+    """The list version of `exactmat.solve_mod2`: the same pivots and row
+    operations on 0/1 lists, so the same particular solution and kernel."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [[a[i][j] & 1 for j in range(cols)] + [b[i] & 1] for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                m[i] = [x ^ y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols]:
+            return None
+    x = [0] * cols
+    for i, c in enumerate(pivots):
+        x[c] = m[i][cols]
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = []
+    for f in free:
+        k = [0] * cols
+        k[f] = 1
+        for i, c in enumerate(pivots):
+            k[c] = m[i][f]
+        kernel.append(k)
+    return x, kernel
+
+
+def _mod2_systems(rng, count, max_rows, max_cols):
+    """Seeded systems over F₂, written with integer entries of either sign:
+    random ones (many inconsistent), ones with zero rows, and full-rank
+    square ones built from a unimodular matrix."""
+    for n in range(count):
+        kind = n % 3
+        if kind == 2:
+            size = rng.randint(1, min(max_rows, max_cols))
+            a = random_unimodular(rng, size, ops=2 * size)
+        else:
+            rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+            a = [[rng.randint(-3, 3) for _ in range(cols)]
+                 for _ in range(rows)]
+            if kind == 1:
+                for i in rng.sample(range(rows), rng.randint(1, rows)):
+                    a[i] = [2 * rng.randint(-1, 1) for _ in range(cols)]
+        yield a, [rng.randint(-3, 3) for _ in a]
+
+
+def _span_mod2(vectors, cols):
+    span = {(0,) * cols}
+    for v in vectors:
+        span |= {tuple((x + y) % 2 for x, y in zip(s, v)) for s in span}
+    return span
+
+
+def test_solve_mod2_against_brute_force():
+    rng = random.Random(29)
+    for a, b in _mod2_systems(rng, 300, 6, 8):
+        cols = len(a[0])
+        solutions = [x for x in product((0, 1), repeat=cols)
+                     if all(sum(ai * xi for ai, xi in zip(row, x)) % 2
+                            == bi % 2 for row, bi in zip(a, b))]
+        null = {x for x in product((0, 1), repeat=cols)
+                if all(sum(ai * xi for ai, xi in zip(row, x)) % 2 == 0
+                       for row in a)}
+        sol = exactmat.solve_mod2(a, b)
+        if not solutions:
+            assert sol is None
+            continue
+        x, kernel = sol
+        assert tuple(x) in solutions
+        # the kernel is a basis of the null space: it spans it and has
+        # log₂|null| vectors
+        assert _span_mod2(kernel, cols) == null
+        assert 2 ** len(kernel) == len(null)
+
+
+def test_solve_mod2_matches_the_list_version():
+    rng = random.Random(31)
+    for a, b in _mod2_systems(rng, 600, 9, 9):
+        assert exactmat.solve_mod2(a, b) == _solve_mod2_reference(a, b)
 
 
 def _assert_lll_reduced(gram, t, reduced):
