@@ -8,7 +8,8 @@ greedy coordinate rounding, so pruning decisions never need re-checking.
 `min_char_square` splits the basis vectors of square 1 off the input
 basis, then LLL-reduces what is left and splits again until none remain,
 so the search only sees the part of the lattice without them; each
-reduction also yields det G, the one place unimodularity is decided.
+reduction also yields det G, the one place unimodularity is decided.  The
+search's one witness is mapped back through the recorded stages.
 `constrained_min` searches its one characteristic coset in a reduced
 basis.  Both work on integer Gram matrices and on integer basis rows over
 one denominator.
@@ -131,34 +132,6 @@ def _integral_gram(obj):
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
-def _split(gram, rows, units):
-    """The Gram matrix and basis rows of what is left after splitting the
-    basis vectors `units`, of square 1, off a definite integral lattice.
-
-    Distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1, with
-    equality only for v = ±w), so basis vector j projects to
-    b_j − Σ c_ji·b_i over the units i, with C = gram[rest][units], and the
-    rest's Gram matrix is gram[rest][rest] − C·Cᵀ.  rows None means the
-    identity basis."""
-    rest = [j for j, row in enumerate(gram) if row[j] != 1]
-    if not rest:
-        return [], []
-    c = [[gram[j][i] for i in units] for j in rest]
-    if rows is None:
-        n = len(gram)
-        rows = [[int(k == j) for k in range(n)] for j in rest]
-        for row, cj in zip(rows, c):
-            for i, x in zip(units, cj):
-                row[i] = -x
-    else:
-        proj = exactmat.matmul(c, [rows[i] for i in units])
-        rows = [[x - y for x, y in zip(rows[j], p)]
-                for j, p in zip(rest, proj)]
-    cct = exactmat.matmul(c, exactmat.transpose(c))
-    return [[gram[j][k] - y for k, y in zip(rest, row)]
-            for j, row in zip(rest, cct)], rows
-
-
 def min_char_square(obj):
     """Exact min of χ² over the characteristic vectors of a unimodular
     positive definite lattice, with a witness in base-lattice coordinates.
@@ -168,35 +141,35 @@ def min_char_square(obj):
     the input basis; the rest is LLL-reduced and split again, until a
     reduced basis has no vector of square 1.  Only that rest goes to the
     branch and bound.  A split keeps the determinant, so each reduction's
-    det G decides unimodularity; when everything splits, U is Zⁿ.
+    det G decides unimodularity; when everything splits, U is Zⁿ.  The
+    rest's witness is mapped back through the splits and reductions.
     """
     gram, basis, denom, kind = _integral_gram(obj)
-    rows = None  # basis of the rest, in obj's basis; None means the identity
-    chi = [0] * len(gram)  # the witness in obj's basis
+    stages = []  # splits (units, rest, C) and LLL transforms T, in order
     minimum = 0
-    nodes = 0
     units = [i for i, row in enumerate(gram) if row[i] == 1]
     while True:
         if units:
+            # distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1,
+            # with equality only for v = ±w), so b_j of the rest projects to
+            # b_j − Σ c_ji·b_i over the units i, C = gram[rest][units], and
+            # the rest's Gram matrix is gram[rest][rest] − C·Cᵀ
             minimum += len(units)
-            if rows is None:
-                for i in units:
-                    chi[i] = 1
-            else:
-                chi = [sum(col) for col in zip(chi, *(rows[i] for i in units))]
-            gram, rows = _split(gram, rows, units)
+            rest = [j for j, row in enumerate(gram) if row[j] != 1]
+            c = [[gram[j][i] for i in units] for j in rest]
+            stages.append((units, rest, c))
+            gram = [[gram[j][k] - sum(map(mul, cj, ck))
+                     for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
             if not gram:
                 break
         t, gram, det = exactmat.lll_gram(gram)
         if det != 1:
             raise InputError(f"correction term requires a unimodular {kind}")
-        if rows is None:
-            rows = t
-        elif t != exactmat.identity(len(t)):  # T = I: the rest was reduced
-            rows = exactmat.matmul(t, rows)
+        stages.append(t)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
             break
+    v, nodes = [], 0
     if gram:
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
@@ -204,13 +177,20 @@ def min_char_square(obj):
                                            enumerate(gram)])
         val, v, nodes = coset_min(gram, x0)
         minimum += val
-        for vi, row in zip(v, rows):
-            chi = [x + vi * y for x, y in zip(chi, row)]
-    if basis is not None:
-        chi = exactmat.mat_vec(exactmat.transpose(basis), chi)
-    witness = [Fraction(x, denom) for x in chi]
-    return MinimizationResult(minimum=minimum, witness=tuple(witness),
-                              nodes_visited=nodes)
+    for stage in reversed(stages):
+        if type(stage) is tuple:  # v on the rest, 1 − Σ_j v_j·c_ji on unit i
+            units, rest, c = stage
+            w = dict(zip(rest, v))
+            for k, i in enumerate(units):
+                w[i] = 1 - sum(vj * cj[k] for vj, cj in zip(v, c))
+            v = [w[i] for i in range(len(w))]
+        else:  # the rows of T are the reduced basis
+            v = [sum(map(mul, v, col)) for col in zip(*stage)]
+    if basis is not None:  # an overlattice's basis is H/e
+        v = [sum(map(mul, v, col)) for col in zip(*basis)]
+    return MinimizationResult(
+        minimum=minimum, witness=tuple(Fraction(x, denom) for x in v),
+        nodes_visited=nodes)
 
 
 def d_set(grp):
@@ -255,8 +235,7 @@ def constrained_min(lat, u):
     c0, kernel = sol
     twice = exactmat.scale(exactmat.identity(n), 2)
     rows = exactmat.hnf(kernel + twice)[:n]  # basis of Λ in U's basis
-    r = exactmat.matmul(rows, h)  # e·(basis of Λ in L-coords)
-    a = exactmat.gram_of_rows(r, gram)
+    a = exactmat.gram_of_rows(rows, u.scaled_gram)  # R·(H·G_L·Hᵀ)·Rᵀ
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g

@@ -128,8 +128,16 @@ def disc_group(lat):
     )
 
 
+def _ratio(x):
+    """x = p/q in lowest terms, q > 0, for an int, Fraction or string."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def group_from_table(orders, pairing):
-    """An abstract discriminant group given by orders and a pairing table."""
+    """An abstract discriminant group given by orders and a pairing table,
+    each entry p/q checked on p and q: 0 ≤ p < q and q | its row's order."""
     orders = tuple(int(d) for d in orders)
     if any(d <= 1 for d in orders):
         raise InputError("group orders must all be > 1")
@@ -139,17 +147,18 @@ def group_from_table(orders, pairing):
     k = len(orders)
     if len(pairing) != k or any(len(row) != k for row in pairing):
         raise InputError("pairing table must be k×k for k group orders")
-    table = tuple(tuple(Fraction(x) for x in row) for row in pairing)
+    table = [[_ratio(x) for x in row] for row in pairing]
     for i in range(k):
         for j in range(k):
-            if not 0 <= table[i][j] < 1:
+            p, q = table[i][j]
+            if not 0 <= p < q:
                 raise InputError("pairing values must lie in [0, 1)")
             if table[i][j] != table[j][i]:
                 raise InputError("pairing table must be symmetric")
-            if (orders[i] * table[i][j]) % 1 != 0:
+            if orders[i] % q:
                 raise InputError("pairing value incompatible with generator order")
     n = max(orders, default=1)
-    return DiscGroup(orders, tuple(tuple(int(n * x) for x in row)
+    return DiscGroup(orders, tuple(tuple(n // q * p for p, q in row)
                                    for row in table))
 
 

@@ -65,10 +65,6 @@ def gram_of_rows(x, g):
     return matmul(x, transpose(matmul(x, g)))
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def scale(a, c):
     return [[c * x for x in row] for row in a]
 

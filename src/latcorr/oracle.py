@@ -21,7 +21,6 @@ from .lattice import Lattice
 EMBED_DIAG_CAP = 36
 EMBED_RANK_CAP = 8
 SUBGROUP_CAP = 512
-STANDARD_RANK_CAP = 12
 ENUM_NODE_CAP = 2_000_000
 
 
@@ -240,22 +239,3 @@ def brute_subgroups(g):
         seen = seen | new
     return sorted((_subgroup(g, s) for s in seen),
                   key=lambda sg: (sg.order, sg.elements))
-
-
-def is_standard(obj):
-    """True iff the unimodular positive definite lattice is Zⁿ: it must
-    contain exactly 2n vectors of square one, spanning the lattice."""
-    gram = gram_of(obj)
-    n = len(gram)
-    if n > STANDARD_RANK_CAP:
-        raise SearchTooLarge("rank exceeds the is_standard cap")
-    gfrac = [[Fraction(x) for x in row] for row in gram]
-    t = [Fraction(0)] * n
-    units = [u for u, val in _enumerate_coset(gfrac, t, Fraction(1)) if val == 1]
-    if len(units) != 2 * n:
-        return False
-    h = exactmat.hnf([list(v) for v in units])
-    d = 1
-    for i in range(n):
-        d *= h[i][i]
-    return abs(d) == 1

@@ -236,8 +236,10 @@ def chain_check(q, table):
     filling = linking_form_of_filling(q)
     _require_complete(table)
     grp = filling.group
-    if table.group.orders != grp.orders or \
-            table.group.pairing != filling.boundary_pairing:
+    n = grp.exponent  # the boundary's form is −P mod N for a negated filling
+    form = tuple(tuple(-x % n for x in row) for row in grp.form) \
+        if filling.negated else grp.form
+    if table.group.orders != grp.orders or table.group.form != form:
         raise GroupMismatch(
             "d-table group or pairing does not match the filling boundary")
     if filling.negated:

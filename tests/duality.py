@@ -18,6 +18,11 @@ from latcorr.errors import NotInDualLattice
 from latcorr.overlattice import _canonical, int_gram, is_integral
 
 
+def mat_vec(a, v):
+    """A·v for a matrix and a vector, both with exact entries."""
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
 def discriminant(lat):
     """|det(gram)|, the order of the discriminant group."""
     return abs(exactmat.det(lat.gram_rows()))
@@ -25,7 +30,7 @@ def discriminant(lat):
 
 def dual_coords(lat, v):
     """Pairings of v with the lattice basis (gram·v); integral iff v ∈ L*."""
-    return exactmat.mat_vec(lat.gram_rows(), [Fraction(x) for x in v])
+    return mat_vec(lat.gram_rows(), [Fraction(x) for x in v])
 
 
 def pairing(lat, v, w):
@@ -151,7 +156,7 @@ def project(g, v):
     if any(x.denominator != 1 for x in w):
         raise NotInDualLattice("vector does not lie in the dual lattice")
     u, divisors = _smith(g.lattice.gram)
-    y = exactmat.mat_vec(u, [int(x) for x in w])
+    y = mat_vec(u, [int(x) for x in w])
     return tuple(yi % d for yi, d in zip(y, divisors) if d > 1)
 
 

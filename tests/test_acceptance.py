@@ -104,21 +104,24 @@ def test_even_order_caveat(capsys):
 
 def test_correction_term_sign_and_rigidity(capsys):
     # d <= 0 for every unimodular positive definite lattice, with equality
-    # exactly for the standard lattice
+    # exactly for the standard lattice; each case is Iₙ, E8 or Z ⊕ E8 up to
+    # a change of basis, so whether it is standard is known by construction
     rng = random.Random(20240818)
-    named = [exactmat.identity(n) for n in range(1, 10)]
-    named += [e8_gram(), z_plus_e8_gram()]
+    named = [(exactmat.identity(n), True) for n in range(1, 10)]
+    named += [(e8_gram(), False), (z_plus_e8_gram(), False)]
     cases = list(named)
-    for g in (exactmat.identity(4), exactmat.identity(8),
-              e8_gram(), z_plus_e8_gram()):
+    for g, standard in ((exactmat.identity(4), True),
+                        (exactmat.identity(8), True),
+                        (e8_gram(), False), (z_plus_e8_gram(), False)):
         for _ in range(15):
-            cases.append(basis_change(g, random_unimodular(rng, len(g))))
+            cases.append((basis_change(g, random_unimodular(rng, len(g))),
+                          standard))
     assert len(cases) >= 50 + len(named)
-    for g in cases:
+    for g, standard in cases:
         lat = lattice_mod.make_lattice(g)
         d = corrterm.min_char_square(lat).d
         assert d <= 0
-        assert (d == 0) == oracle.is_standard(lat)
+        assert (d == 0) == standard
     for n in range(1, 10):
         std = lattice_mod.make_lattice(exactmat.identity(n))
         assert corrterm.min_char_square(std).d == 0

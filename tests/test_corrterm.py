@@ -14,7 +14,7 @@ from latcorr.overlattice import (_canonical, int_gram,
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
                       z_plus_e8_gram)
-from duality import is_characteristic, pairing, project
+from duality import is_characteristic, mat_vec, pairing, project
 
 
 def test_coset_min_trivial():
@@ -115,12 +115,35 @@ def test_min_char_square_reduces_only_what_the_units_leave(monkeypatch):
         assert seen[0] == e8_gram()
 
 
-def test_witness_is_characteristic():
+def test_witness_is_characteristic(monkeypatch):
     for gram in (exactmat.identity(3), e8_gram(), z_plus_e8_gram()):
         lat = lattice_mod.make_lattice(gram)
         res = corrterm.min_char_square(lat)
         assert is_characteristic(lat, res.witness)
         assert pairing(lat, res.witness, res.witness) == res.minimum
+    # on seeded conjugates of E8 ⊕ I_k the input basis splits, the rest is
+    # reduced, split and reduced again, so the witness is mapped back
+    # through several stages
+    real = exactmat.lll_gram
+    sizes = []  # per case, the sizes of the Gram matrices reduced
+
+    def spy(gram):
+        sizes[-1].append(len(gram))
+        return real(gram)
+
+    monkeypatch.setattr(exactmat, "lll_gram", spy)
+    rng = random.Random(5)
+    for k in range(6):
+        for _ in range(3):
+            lat = lattice_mod.make_lattice(basis_change(
+                _padded(e8_gram(), k), random_unimodular(rng, 8 + k, ops=24)))
+            sizes.append([])
+            res = corrterm.min_char_square(lat)
+            assert res.d == -2
+            assert is_characteristic(lat, res.witness)
+            assert pairing(lat, res.witness, res.witness) == res.minimum
+    # a reduction of a smaller rest means a split ran between the two
+    assert any(b < a for s in sizes for a, b in zip(s, s[1:]))
 
 
 def test_overlattice_witness_lies_in_overlattice_dual():
@@ -273,7 +296,7 @@ def test_constrained_min_matches_coset_scan(rng):
             box.append([w for w in range(-r, r + 1) if (w - g) % 2 == 0])
         best = {}  # group element -> least scanned χ² in its class
         for w in product(*box):
-            chi = exactmat.mat_vec(ginv, list(w))
+            chi = mat_vec(ginv, list(w))
             sq = sum(x * y for x, y in zip(w, chi))
             if sq <= bound:
                 e = project(grp, chi)

@@ -292,19 +292,6 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
             assert all(_is_sum_of_its_p_parts(g, s) for s in got)
 
 
-def test_is_standard():
-    assert oracle.is_standard(lattice_mod.make_lattice(exactmat.identity(4)))
-    assert not oracle.is_standard(lattice_mod.make_lattice(e8_gram()))
-    # unimodular but with an off-basis: still standard as a lattice
-    g = [[2, 1], [1, 1]]
-    assert oracle.is_standard(lattice_mod.make_lattice(g))
-
-
-def test_is_standard_cap():
-    with pytest.raises(SearchTooLarge):
-        oracle.is_standard(lattice_mod.make_lattice(exactmat.identity(13)))
-
-
 def test_enumerate_coset_node_cap(monkeypatch):
     monkeypatch.setattr(oracle, "ENUM_NODE_CAP", 50)
     a = [[Fraction(1, 1000)]]
