@@ -7,10 +7,11 @@ table P = N·λ(g_i, g_j) mod N, and a lattice-derived group stores its
 generator lifts as integer rows over the one denominator N.  Groups from
 an external table carry orders and P only.
 `pairing` and `generators` are the Fraction views of P and of the lifts.
-Subgroups are found by one depth-first search, run once per prime;
-`metabolizers_of_group` first reads the Witt class of λ on each odd
-p-part, and a nonzero class answers "none" without a search; the 2-part
-never obstructs.
+Subgroups of order m are built one prime power q ∥ m at a time inside
+G[q] = {x : q·x = 0}, enumerated directly: G[q] itself when it has order
+q, else by one depth-first search; `metabolizers_of_group` first reads the
+Witt class of λ on each odd p-part, and a nonzero class answers "none"
+without a search; the 2-part never obstructs.
 """
 
 import itertools
@@ -224,9 +225,11 @@ def _prime_powers(m):
 
 
 def _search(g, q, candidates, rows):
-    """The subgroups of order q spanned by candidates, as a dict from the
-    element set to the generators that built it; with rows (r(x) for each
-    candidate x) given, only those on which λ vanishes.
+    """The subgroups of order q spanned by candidates (the nonzero elements
+    of G[q] in lexicographic order; for metabolizers only those with
+    λ(x, x) = 0), as a dict from the element set to the generators that
+    built it; with rows (r(x) for each candidate x) given, only those on
+    which λ vanishes.
 
     Depth first over sequences of candidate generators: a step takes a
     candidate x outside the current subgroup H (isotropic to the generators
@@ -255,27 +258,44 @@ def _search(g, q, candidates, rows):
     return found
 
 
+def _torsion_gens(g, q):
+    """The SNF generators (d_i/gcd(d_i, q))·e_i of G[q] = {x : q·x = 0},
+    one for each d_i with gcd(d_i, q) > 1."""
+    k = len(g.orders)
+    return [tuple(d // gcd(d, q) if j == i else 0 for j in range(k))
+            for i, d in enumerate(g.orders) if gcd(d, q) > 1]
+
+
 def _subgroups(g, m, isotropic):
     """All subgroups of order m, canonically sorted, duplicate-free; with
     isotropic set, only those on which λ vanishes.
 
     G is the direct sum of its p-parts G_p, the elements of p-power order,
     so a subgroup of order m is the sum of one subgroup of order q in G_p
-    for each prime power q ∥ m.  Each part is searched on its own, among
-    the elements whose order divides q, and the parts are summed by one
-    `closure` per combination.  Isotropy is tested within a part only:
-    λ(G_p, G_p') = 0 for p ≠ p'.
+    for each prime power q ∥ m, and that subgroup lies in
+    G[q] = {x : q·x = 0}, the product of the multiples of d_i/gcd(d_i, q),
+    enumerated directly in lexicographic order.  When |G[q]| = q, G[q] is
+    the only subgroup of order q (by Lagrange) and is taken with its SNF
+    generators, without a search.  For a metabolizer it is isotropic as
+    well: |G_p| = q², and |G[q]| = q only when G_p ≅ ℤ/q², whose subgroup
+    q·G_p pairs to q²·λ(x, y) = 0, since λ(x, y) has order dividing q² on
+    it.  Otherwise the part is searched among the nonzero elements of G[q].
+    The parts are summed by one `closure` per combination.  Isotropy is
+    tested within a part only: λ(G_p, G_p') = 0 for p ≠ p'.
     """
     n = g.exponent
-    order_of = {x: element_order(g, x) for x in g.elements()}
-    candidates = [x for x, k in order_of.items() if k > 1 and m % k == 0]
-    rows = None
-    if isotropic:
-        rows = {x: _row(g, x) for x in candidates}
-        candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
-    parts = [_search(g, q, [x for x in candidates if q % order_of[x] == 0],
-                     rows)
-             for q in _prime_powers(m) or [1]]
+    parts = []
+    for q in _prime_powers(m) or [1]:
+        torsion = list(itertools.product(
+            *[range(0, d, d // gcd(d, q)) for d in g.orders]))
+        if len(torsion) == q:
+            parts.append({frozenset(torsion): _torsion_gens(g, q)})
+            continue
+        candidates, rows = torsion[1:], None  # torsion[0] is 0
+        if isotropic:
+            rows = {x: _row(g, x) for x in candidates}
+            candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
+        parts.append(_search(g, q, candidates, rows))
     if len(parts) == 1:
         found = parts[0]
     else:
@@ -316,9 +336,7 @@ def _witt_class_vanishes(g, q, p):
     def pair(x, y):  # N·λ(x, y) mod N
         return sum(map(mul, _row(g, x), y)) % n
 
-    gens = [tuple(d // gcd(d, q) if j == i else 0
-                  for j in range(len(g.orders)))
-            for i, d in enumerate(g.orders) if d % p == 0]
+    gens = _torsion_gens(g, q)
     r, units = 0, 1
     while gens:
         m = max(element_order(g, y) for y in gens)

@@ -25,8 +25,16 @@ EVEN_ORDER_CAVEAT = (
 @dataclass(frozen=True)
 class FillingPresentation:
     group: object              # disc group of the normalized lattice
-    boundary_pairing: tuple    # linking pairing of the boundary, sign-correct
     negated: bool
+
+    @property
+    def boundary_pairing(self):
+        """The linking pairing of the boundary as Fractions in [0, 1): the
+        group's pairing, negated when the input was negative definite."""
+        if self.negated:
+            return tuple(tuple((-x) % 1 for x in row)
+                         for row in self.group.pairing)
+        return self.group.pairing
 
 
 @dataclass(frozen=True)
@@ -153,15 +161,11 @@ def linking_form_of_filling(q):
 
     The linking pairing is the discriminant form of Q_X itself; when the
     input is negative definite the lattice is normalized to positive
-    definite and the pairing sign flipped back accordingly.
+    definite and the pairing sign flipped back accordingly.  Its Fraction
+    view `boundary_pairing` is built only when read.
     """
     lat = lattice_mod.make_lattice(q)
-    grp = discgroup.disc_group(lat)
-    if lat.negated:
-        boundary = tuple(tuple((-x) % 1 for x in row) for row in grp.pairing)
-    else:
-        boundary = grp.pairing
-    return FillingPresentation(group=grp, boundary_pairing=boundary,
+    return FillingPresentation(group=discgroup.disc_group(lat),
                                negated=lat.negated)
 
 

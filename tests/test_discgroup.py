@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import itertools
+import signal
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -456,15 +459,142 @@ def test_search_builds_only_subgroups_dividing_the_order(rng, monkeypatch):
              for ds in ((2, 2, 4), (3, 9), (2, 2, 2, 2), (3, 3, 3))]
     n_built = 0
     for g in _growth_groups(rng) + small:
-        # every divisor up to order 27; beyond it the search, which visits
-        # every ordering of every generating sequence, takes seconds to
-        # minutes per order above 9, so it stops there
+        # every divisor on groups up to order 27, and m = |G| on every
+        # group, where G[m] = G is taken without a search.  Between 9 and
+        # |G| on the larger groups the search, which visits every ordering
+        # of every generating sequence, takes seconds to minutes per order
+        # (3²⊕9² at 27, 81 and 243), so there it stops at m = 9
         for m in range(1, g.order + 1):
-            if g.order % m == 0 and (g.order <= 27 or m <= 9):
+            if g.order % m == 0 and (g.order <= 27 or m <= 9
+                                     or m == g.order):
                 n_built += sets_built(m, discgroup.subgroups_of_order, g, m)
         n_built += sets_built(isqrt(g.order), discgroup.metabolizers_of_group,
                               g)
     assert n_built > 1000
+
+
+def _forced(g, q):
+    """Whether G[q] = {x : q·x = 0} has order q, so that it is the only
+    subgroup of order q."""
+    return prod(gcd(d, q) for d in g.orders) == q
+
+
+def _forced_groups(rng):
+    """Seeded lattice groups ℤ/144, ℤ/2⊕ℤ/18, ℤ/4⊕ℤ/36 and 6², each with
+    a prime power q ∥ |G| (or q ∥ √|G|) where G[q] has order q; the
+    oracle's lists on them are checked in tests/test_oracle.py."""
+    groups = [_conjugate_group(rng, _diag(ds))
+              for ds in ((1, 144), (2, 18), (4, 36), (6, 6))]
+    assert [g.orders for g in groups] == [(144,), (2, 18), (4, 36), (6, 6)]
+    return groups
+
+
+def test_forced_parts_run_no_search(rng, monkeypatch):
+    # no closure runs for a forced part: `_search` is called only on the
+    # parts whose G[q] is larger than q, and when every part is forced the
+    # closures are make_subgroup's generator picks plus the one that sums
+    # the parts of several primes
+    search, closure = discgroup._search, discgroup.closure
+    searched, n_closures = [], []
+
+    def recording_search(g, q, *args):
+        searched.append(q)
+        return search(g, q, *args)
+
+    def recording_closure(*args):
+        n_closures.append(1)
+        return closure(*args)
+
+    monkeypatch.setattr(discgroup, "_search", recording_search)
+    monkeypatch.setattr(discgroup, "closure", recording_closure)
+    n_all_forced = 0
+    for g in _forced_groups(rng):
+        for m in range(1, g.order + 1):
+            if g.order % m:
+                continue
+            searched.clear()
+            n_closures.clear()
+            got = discgroup.subgroups_of_order(g, m)
+            qs = discgroup._prime_powers(m)
+            assert searched == [q for q in qs if not _forced(g, q)]
+            if not searched:
+                assert len(n_closures) == sum(
+                    len(s.generators) for s in got) + (len(qs) > 1)
+                n_all_forced += 1
+    # ℤ/144 at every divisor and ℤ/4⊕ℤ/36 at 9 and 144, for example
+    assert n_all_forced >= 25
+
+
+def _forced_table_forms(ds):
+    """Every table form on ⊕ ℤ/d_i, degenerate ones included: each entry
+    λ(g_i, g_j) with i ≤ j runs over the multiples of 1/d_i."""
+    pairs = [(i, j) for j in range(len(ds)) for i in range(j + 1)]
+    for values in itertools.product(*[range(ds[i]) for i, _ in pairs]):
+        table = [[Fraction(0)] * len(ds) for _ in ds]
+        for (i, j), v in zip(pairs, values):
+            table[i][j] = table[j][i] = Fraction(v, ds[i])
+        yield discgroup.group_from_table(ds, table)
+
+
+def test_forced_metabolizer_parts_are_isotropic_on_every_table_form():
+    # for a metabolizer |G_p| = q², and G[q] has order q only when
+    # G_p ≅ ℤ/q², whose subgroup q·G_p pairs to q²·λ(x, y) = 0: a forced
+    # part is isotropic on every form, degenerate ones included.  Checked
+    # on every table form of ℤ/16, ℤ/2⊕ℤ/18 and ℤ/3⊕ℤ/12 against the
+    # oracle, whose subgroup list depends on the orders only
+    tally = {True: 0, False: 0}
+    for ds in ((16,), (2, 18), (3, 12)):
+        subs = None
+        for g in _forced_table_forms(ds):
+            m = isqrt(g.order)
+            subs = subs or [s for s in oracle.brute_subgroups(g)
+                            if s.order in {m} | set(
+                                discgroup._prime_powers(m))]
+            forced = [q for q in discgroup._prime_powers(m) if _forced(g, q)]
+            assert forced, ds
+            for q in forced:
+                (part,) = [s for s in subs if s.order == q]
+                assert all(oracle.lam(g, x, y) == 0 for x in part.elements
+                           for y in part.elements)
+            expect = [s.elements for s in subs if s.order == m and all(
+                oracle.lam(g, x, y) == 0 for x in s.elements
+                for y in s.elements)]
+            got = [s.elements for s in discgroup.metabolizers_of_group(g)]
+            assert got == expect, (ds, g.form)
+            tally[bool(got)] += 1
+    assert tally[True] >= 10 and tally[False] >= 10
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the block with TimeoutError after `seconds` of wall time."""
+    def expire(*args):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_whole_group_and_forced_metabolizers_need_no_search(rng):
+    # G[|G|] = G is the only subgroup of order |G|, so it is taken without
+    # a search, which took over 10 s on each of these groups; ℤ/99² has the
+    # one metabolizer 99·ℤ/99², both of whose parts are forced
+    groups = [_hyperbolic(3, 2)] + [_conjugate_group(rng, _diag(ds))
+                                    for ds in ((5, 125), (3, 3, 9, 9))]
+    assert [g.orders for g in groups] == [(3,) * 4, (5, 125), (3, 3, 9, 9)]
+    z99 = discgroup.disc_group(lattice_mod.make_lattice([[99 ** 2]]))
+    with _within(1):
+        for g in groups:
+            assert [s.elements for s in discgroup.subgroups_of_order(
+                g, g.order)] == [tuple(g.elements())]
+        mets = discgroup.metabolizers_of_group(z99)
+    assert [s.elements for s in mets] == [
+        tuple((x,) for x in range(0, 99 ** 2, 99))]
 
 
 def _table_form(rng, p, diagonal):

@@ -225,9 +225,11 @@ def _conjugate_diag(rng, ds):
 def _mixed_groups(rng):
     """Seeded lattice groups on two or three primes (6², 2²⊕6, 30, 2⊕30,
     12²), the table group 6² whose 2-part is the hyperbolic plane and
-    whose 3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩, and the hyperbolic table group 12²,
+    whose 3-part is ⟨1/3⟩ ⊕ ⟨2/3⟩, the hyperbolic table group 12²,
     whose 2- and 3-parts are both hyperbolic, so that it has metabolizers
-    (the seeded 12² has none: its 3-part is anisotropic)."""
+    (the seeded 12² has none: its 3-part is anisotropic), and seeded
+    ℤ/144, ℤ/2⊕ℤ/18 and ℤ/4⊕ℤ/36, each with parts whose q-torsion G[q]
+    has order q and is taken without a search."""
     groups = [_conjugate_diag(rng, ds)
               for ds in ((6, 6), (2, 2, 6), (30,), (6, 10))]
     groups.append(discgroup.group_from_table(
@@ -235,6 +237,7 @@ def _mixed_groups(rng):
     groups.append(_conjugate_diag(rng, (12, 12)))
     groups.append(discgroup.group_from_table(
         (12, 12), [["0", "1/12"], ["1/12", "0"]]))
+    groups += [_conjugate_diag(rng, ds) for ds in ((1, 144), (2, 18), (4, 36))]
     return groups
 
 
@@ -244,7 +247,8 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
     # is a sum of per-prime metabolizers
     groups = _mixed_groups(rng)
     assert [g.orders for g in groups] == [
-        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6), (12, 12), (12, 12)]
+        (6, 6), (2, 2, 6), (30,), (2, 30), (6, 6), (12, 12), (12, 12),
+        (144,), (2, 18), (4, 36)]
     n_mets = 0
     for g in groups:
         primes = _prime_power_parts(g.order)
@@ -276,8 +280,9 @@ def test_mixed_order_subgroups_are_sums_of_per_prime_subgroups(rng):
                                      for q in primes.values())
         n_mets += len(mets)
     # the hyperbolic 12² has 5·2 = 10: five metabolizers of its 2-part, the
-    # hyperbolic form on (ℤ/4)², times two of its 3-part
-    assert n_mets == 16
+    # hyperbolic form on (ℤ/4)², times two of its 3-part; ℤ/144, ℤ/2⊕ℤ/18
+    # and ℤ/4⊕ℤ/36 have one each
+    assert n_mets == 19
     # 2² ⊕ 6² has 402 subgroups, and the oracle takes about 4 s to list
     # them, so here the counts are checked against the search's own
     # prime-power answers
