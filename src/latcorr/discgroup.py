@@ -9,9 +9,10 @@ an external table carry orders and P only.
 `pairing` and `generators` are the Fraction views of P and of the lifts.
 Subgroups of order m are built one prime power q ∥ m at a time inside
 G[q] = {x : q·x = 0}, enumerated directly: G[q] itself when it has order
-q, else by one depth-first search; `metabolizers_of_group` first reads the
-Witt class of λ on each odd p-part, and a nonzero class answers "none"
-without a search; the 2-part never obstructs.
+q, else by one depth-first search, and the parts are summed as element
+sets; `metabolizers_of_group` first reads the Witt class of λ on each odd
+p-part, and a nonzero class answers "none" without a search; the 2-part
+never obstructs.
 """
 
 import itertools
@@ -131,6 +132,8 @@ def disc_group(lat):
 
 def _ratio(x):
     """x = p/q in lowest terms, q > 0, for an int, Fraction or string."""
+    if isinstance(x, float):  # already rounded
+        raise InputError(f"pairing value {x!r} is a float")
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     return x.numerator, x.denominator
@@ -139,7 +142,10 @@ def _ratio(x):
 def group_from_table(orders, pairing):
     """An abstract discriminant group given by orders and a pairing table,
     each entry p/q checked on p and q: 0 ≤ p < q and q | its row's order."""
-    orders = tuple(int(d) for d in orders)
+    orders = tuple(orders)
+    for d in orders:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InputError(f"group order {d!r} is not an integer")
     if any(d <= 1 for d in orders):
         raise InputError("group orders must all be > 1")
     for a, b in zip(orders, orders[1:]):
@@ -163,32 +169,21 @@ def group_from_table(orders, pairing):
                                    for row in table))
 
 
-def _order_mod(g, h, x):
-    """The order of x modulo the subgroup h (a set): the least k ≥ 1 with
-    k·x in h."""
-    k, y = 1, x
-    while y not in h:
-        y = add(g, y, x)
-        k += 1
-    return k
+def closure(g, h, x):
+    """⟨h, x⟩ for a subgroup h (a set, left as it is) and an element x, as
+    a set.
 
-
-def closure(g, gens, base=None):
-    """The subgroup generated by the subgroup base (a set; the trivial one
-    if None) and the given elements, as a set.
-
-    Each x grows the current subgroup H to the union of the cosets H + j·x,
-    0 ≤ j < k, with k the order of x modulo H.  A coset is the last one
-    translated by x one coordinate at a time: a column of the layer at once.
+    The cosets h + j·x, j = 1, 2, …, are added until j·x lies in h.  Each
+    is the last one translated by x one coordinate at a time: a column of
+    the layer at once.
     """
-    h = {g.identity} if base is None else set(base)
-    for x in map(tuple, gens):
-        layer = list(h)
-        for _ in range(_order_mod(g, h, x) - 1):
-            layer = list(zip(*[[(a + b) % d for a in col] for col, b, d
-                               in zip(zip(*layer), x, g.orders)]))
-            h.update(layer)
-    return h
+    out, layer, y = set(h), list(h), x
+    while y not in h:
+        layer = list(zip(*[[(a + b) % d for a in col] for col, b, d
+                           in zip(zip(*layer), x, g.orders)]))
+        out.update(layer)
+        y = add(g, y, x)
+    return out
 
 
 def make_subgroup(g, elements):
@@ -199,7 +194,7 @@ def make_subgroup(g, elements):
     for x in sorted(elems, key=lambda e: (-element_order(g, e), e)):
         if x not in have:
             gens.append(x)
-            have = closure(g, (x,), have)
+            have = closure(g, have, x)
     return Subgroup(elements=tuple(elems), generators=tuple(gens))
 
 
@@ -227,34 +222,34 @@ def _prime_powers(m):
 def _search(g, q, candidates, rows):
     """The subgroups of order q spanned by candidates (the nonzero elements
     of G[q] in lexicographic order; for metabolizers only those with
-    λ(x, x) = 0), as a dict from the element set to the generators that
-    built it; with rows (r(x) for each candidate x) given, only those on
-    which λ vanishes.
+    λ(x, x) = 0), as a set of frozensets; with rows (r(x) for each
+    candidate x) given, only those on which λ vanishes.
 
-    Depth first over sequences of candidate generators: a step takes a
-    candidate x outside the current subgroup H (isotropic to the generators
-    so far, if asked; sufficient by bilinearity) whose order k modulo H
-    keeps |H|·k a divisor of q, and only then grows H by the cosets
-    H + j·x.  `path` holds the open branch, each subgroup with the next
-    candidate to try.
+    Depth first over increasing sequences of candidates: a step takes an x
+    outside the current subgroup H with (q/|H|)·x in H and grows H to
+    ⟨H, x⟩.  Every order in G[q] is a power of the prime p | q, so the
+    order k of x modulo H keeps |H|·k a divisor of q iff k divides q/|H|,
+    iff that one multiple lies in H: no set is built that would overshoot.
+    With rows given, taking x keeps only the later candidates y with
+    λ(x, y) = 0, which keeps H isotropic by bilinearity.
     """
     n = g.exponent
-    found = {}
-    path = [(0, {g.identity}, ())]
-    while path:
-        start, current, gens = path.pop()
-        if len(current) == q:
-            found.setdefault(frozenset(current), gens)
-            continue
-        for i in range(start, len(candidates)):
-            x = candidates[i]
-            if x in current or rows is not None and not all(
-                    _isotropic(n, rows[x], h) for h in gens):
-                continue
-            if q % (len(current) * _order_mod(g, current, x)) == 0:
-                path.append((i + 1, current, gens))
-                path.append((i + 1, closure(g, (x,), current), gens + (x,)))
-                break
+    found = set()
+
+    def grow(h, rest):
+        if len(h) == q:
+            found.add(frozenset(h))
+            return
+        c = q // len(h)
+        for i, x in enumerate(rest):
+            if x not in h and tuple(
+                    c * a % d for a, d in zip(x, g.orders)) in h:
+                later = rest[i + 1:]
+                if rows is not None:
+                    later = [y for y in later if _isotropic(n, rows[x], y)]
+                grow(closure(g, h, x), later)
+
+    grow({g.identity}, candidates)
     return found
 
 
@@ -275,13 +270,13 @@ def _subgroups(g, m, isotropic):
     for each prime power q ∥ m, and that subgroup lies in
     G[q] = {x : q·x = 0}, the product of the multiples of d_i/gcd(d_i, q),
     enumerated directly in lexicographic order.  When |G[q]| = q, G[q] is
-    the only subgroup of order q (by Lagrange) and is taken with its SNF
-    generators, without a search.  For a metabolizer it is isotropic as
-    well: |G_p| = q², and |G[q]| = q only when G_p ≅ ℤ/q², whose subgroup
-    q·G_p pairs to q²·λ(x, y) = 0, since λ(x, y) has order dividing q² on
-    it.  Otherwise the part is searched among the nonzero elements of G[q].
-    The parts are summed by one `closure` per combination.  Isotropy is
-    tested within a part only: λ(G_p, G_p') = 0 for p ≠ p'.
+    the only subgroup of order q (by Lagrange) and is taken without a
+    search.  For a metabolizer it is isotropic as well: |G_p| = q², and
+    |G[q]| = q only when G_p ≅ ℤ/q², whose subgroup q·G_p pairs to
+    q²·λ(x, y) = 0, since λ(x, y) has order dividing q² on it.  Otherwise
+    the part is searched among the nonzero elements of G[q].
+    Each choice of one subgroup per part is summed as the set {x + y}.
+    Isotropy is tested within a part only: λ(G_p, G_p') = 0 for p ≠ p'.
     """
     n = g.exponent
     parts = []
@@ -289,19 +284,17 @@ def _subgroups(g, m, isotropic):
         torsion = list(itertools.product(
             *[range(0, d, d // gcd(d, q)) for d in g.orders]))
         if len(torsion) == q:
-            parts.append({frozenset(torsion): _torsion_gens(g, q)})
+            parts.append([frozenset(torsion)])
             continue
         candidates, rows = torsion[1:], None  # torsion[0] is 0
         if isotropic:
             rows = {x: _row(g, x) for x in candidates}
             candidates = [x for x in candidates if _isotropic(n, rows[x], x)]
         parts.append(_search(g, q, candidates, rows))
-    if len(parts) == 1:
-        found = parts[0]
-    else:
-        found = [closure(g, [x for _, gens in rest for x in gens], first)
-                 for (first, _), *rest in itertools.product(
-                     *[part.items() for part in parts])]
+    found = parts[0]
+    for part in parts[1:]:
+        found = [{add(g, x, y) for x in s for y in t}
+                 for s in found for t in part]
     return sorted((make_subgroup(g, s) for s in found),
                   key=lambda sg: sg.elements)
 

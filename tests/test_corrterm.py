@@ -72,7 +72,8 @@ def test_min_char_square_rejects_non_unimodular():
     # U = L* is not integral, U = L is integral with determinant 9; both
     # give the overlattice InputError, not NotIntegral
     g = discgroup.disc_group(lattice_mod.make_lattice([[1, 0], [0, 9]]))
-    whole = discgroup.make_subgroup(g, discgroup.closure(g, [(1,)]))
+    whole = discgroup.make_subgroup(
+        g, discgroup.closure(g, {g.identity}, (1,)))
     trivial = discgroup.make_subgroup(g, {g.identity})
     for m in (whole, trivial):
         with pytest.raises(InputError,

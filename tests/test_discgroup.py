@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import itertools
+import re
 import signal
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -114,6 +115,19 @@ def test_group_from_table_validation():
         discgroup.group_from_table((2,), [["3/2"]])
     with pytest.raises(InputError):
         discgroup.group_from_table((2,), [["1/3"]])
+    # int() would truncate an order of 2.7 to a group of order 2, and a
+    # float pairing value is rounded already
+    for orders, pairing, message in [
+            ((2.7,), [["1/2"]], "group order 2.7 is not an integer"),
+            ((True, 2), [["0", "0"], ["0", "1/2"]],
+             "group order True is not an integer"),
+            (("2",), [["1/2"]], "group order '2' is not an integer"),
+            ((2,), [[0.5]], "pairing value 0.5 is a float")]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            discgroup.group_from_table(orders, pairing)
+    g = discgroup.group_from_table([2, 4], [[0, "1/2"],
+                                            ["2/4", Fraction(1, 4)]])
+    assert (g.orders, g.form) == ((2, 4), ((0, 2), (2, 1)))
 
 
 def test_subgroups_of_order_nine():
@@ -216,7 +230,7 @@ def test_make_subgroup_canonical():
     s1 = discgroup.make_subgroup(g, elems)
     s2 = discgroup.make_subgroup(g, list(elems))
     assert s1 == s2
-    assert discgroup.closure(g, s1.generators) == elems
+    assert _span(g, s1.generators) == elems
 
 
 def test_pairing_table_matches_lattice_pairing_of_lifts(rng):
@@ -341,7 +355,7 @@ def test_annihilator_matches_lam_scan(rng):
         elems = list(g.elements())
         for _ in range(3):
             h = discgroup.make_subgroup(
-                g, discgroup.closure(g, rng.sample(elems, min(2, len(elems)))))
+                g, _span(g, rng.sample(elems, min(2, len(elems)))))
             expect = [x for x in elems
                       if all(oracle.lam(g, x, y) == 0 for y in h.elements)]
             assert annihilator(g, h) == discgroup.make_subgroup(g, expect)
@@ -398,6 +412,15 @@ def _ref_span(orders, gens):
     return seen
 
 
+def _span(g, gens, base=None):
+    """The one-step `closure` folded over gens, from the subgroup base (the
+    trivial one if None)."""
+    h = {g.identity} if base is None else base
+    for x in gens:
+        h = discgroup.closure(g, h, x)
+    return h
+
+
 def _growth_groups(rng):
     """Seeded lattice groups 2², 4², 3²⊕9², 5⊕125, the hyperbolic form on
     (Z/3)⁴, then the cyclic group of order 27 (one coordinate), the
@@ -408,9 +431,18 @@ def _growth_groups(rng):
             discgroup.disc_group(lattice_mod.make_lattice([[1]]))]
 
 
+def _order_mod(orders, h, x):
+    """The order of x modulo the subgroup h: the least k ≥ 1 with k·x in h,
+    by repeated sums."""
+    k, y = 1, x
+    while y not in h:
+        k, y = k + 1, _ref_sum(orders, y, x)
+    return k
+
+
 def test_coset_growth_matches_a_reference_span(rng):
-    # closure(g, gens, base) is the span of base ∪ gens, whatever the base,
-    # and _order_mod(g, h, x) the least k ≥ 1 with k·x in h
+    # closure(g, h, x) is ⟨h, x⟩ whatever the subgroup h, leaves h as it
+    # is, and adds k − 1 cosets of h, k the order of x modulo h
     groups = _growth_groups(rng)
     assert [g.orders for g in groups[-3:]] == [(27,), (6, 30), ()]
     checked = 0
@@ -421,24 +453,62 @@ def test_coset_growth_matches_a_reference_span(rng):
             base = _ref_span(g.orders, base_gens)
             frozen = set(base)
             gens = rng.sample(elems, min(len(elems), rng.randint(1, 3)))
-            assert discgroup.closure(g, gens) == _ref_span(g.orders, gens)
-            assert discgroup.closure(g, gens, base) == _ref_span(
+            assert _span(g, gens) == _ref_span(g.orders, gens)
+            assert _span(g, gens, base) == _ref_span(
                 g.orders, base_gens + gens)
             inside = rng.sample(sorted(base), min(3, len(base)))
-            assert discgroup.closure(g, inside, base) == base
-            assert base == frozen
+            assert _span(g, inside, base) == base
             for x in gens + inside:
-                k, y = 1, x
-                while y not in base:
-                    k, y = k + 1, _ref_sum(g.orders, y, x)
-                assert discgroup._order_mod(g, base, x) == k
+                assert len(discgroup.closure(g, base, x)) == len(
+                    base) * _order_mod(g.orders, base, x)
+            assert base == frozen
             checked += 1
     assert checked == 6 * len(groups)
 
 
+def _is_prime_power(q):
+    """Whether q > 1 is a power of its least prime factor."""
+    p = next(d for d in itertools.count(2) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_one_multiple_decides_admission(rng):
+    # every order in G[q] is a power of p, q = p^j, so for a subgroup H of
+    # G[q] with |H| dividing q and x in G[q], (q/|H|)·x lies in H iff |H|·k
+    # divides q, k the order of x modulo H: the search's admission rule,
+    # checked for every prime power q dividing |G| on seeded spans H and
+    # every x, with k found by repeated sums
+    tally = {True: 0, False: 0}
+    for g in _growth_groups(rng)[:5]:
+        elems = list(g.elements())
+        zero = (0,) * len(g.orders)
+
+        def times(c, x):
+            return tuple(c * a % d for a, d in zip(x, g.orders))
+
+        for q in range(2, g.order + 1):
+            if g.order % q or not _is_prime_power(q):
+                continue
+            torsion = [x for x in elems if times(q, x) == zero]
+            spans = {frozenset([zero])}
+            for _ in range(12):
+                spans.add(frozenset(_ref_span(g.orders, rng.sample(
+                    torsion, min(len(torsion), rng.randint(1, 2))))))
+            for h in (h for h in spans if q % len(h) == 0):
+                for x in torsion:
+                    admitted = times(q // len(h), x) in h
+                    k = _order_mod(g.orders, h, x)
+                    assert admitted == (q % (len(h) * k) == 0), (q, x)
+                    tally[admitted] += 1
+    assert min(tally.values()) > 1000
+
+
 def test_search_builds_only_subgroups_dividing_the_order(rng, monkeypatch):
-    # a candidate is rejected by its order modulo H before any set is built,
-    # so every set either search builds has an order dividing the target
+    # a candidate x is rejected by one multiple, (q/|H|)·x outside H, before
+    # any set is built, so every set either search builds has an order
+    # dividing the target
     closure = discgroup.closure
     built = []
 
@@ -492,8 +562,8 @@ def _forced_groups(rng):
 def test_forced_parts_run_no_search(rng, monkeypatch):
     # no closure runs for a forced part: `_search` is called only on the
     # parts whose G[q] is larger than q, and when every part is forced the
-    # closures are make_subgroup's generator picks plus the one that sums
-    # the parts of several primes
+    # only closures are make_subgroup's generator picks, since the parts of
+    # several primes are summed as sets
     search, closure = discgroup._search, discgroup.closure
     searched, n_closures = [], []
 
@@ -518,8 +588,7 @@ def test_forced_parts_run_no_search(rng, monkeypatch):
             qs = discgroup._prime_powers(m)
             assert searched == [q for q in qs if not _forced(g, q)]
             if not searched:
-                assert len(n_closures) == sum(
-                    len(s.generators) for s in got) + (len(qs) > 1)
+                assert len(n_closures) == sum(len(s.generators) for s in got)
                 n_all_forced += 1
     # ℤ/144 at every divisor and ℤ/4⊕ℤ/36 at 9 and 144, for example
     assert n_all_forced >= 25

@@ -38,7 +38,7 @@ def test_thirtysix_order_two_subgroup():
     # (1/2)Z over 36Z: gram becomes [[9]], index 2, integral but not unimodular
     lat = lattice_mod.make_lattice([[36]])
     g = discgroup.disc_group(lat)
-    m = discgroup.make_subgroup(g, discgroup.closure(g, [(18,)]))
+    m = discgroup.make_subgroup(g, discgroup.closure(g, {g.identity}, (18,)))
     u = build_overlattice(g, m)
     assert u.index == 2
     assert int_gram(u) == [[9]]
