@@ -10,12 +10,12 @@ an external table carry orders and P only.
 Subgroups of order m are built one prime power q ∥ m at a time inside
 G[q] = {x : q·x = 0}, enumerated directly: G[q] itself when it has order
 q, else by one depth-first search, and the parts are summed as element
-sets; `metabolizers_of_group` first reads the Witt class of λ on each odd
-p-part, and a nonzero class answers "none" without a search; the 2-part
-never obstructs.
+sets.  For metabolizers one greedy pass over each G[q] first finds a
+maximal isotropic subgroup, and one smaller than q answers "none".
 """
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -130,18 +130,44 @@ def disc_group(lat):
     )
 
 
+# only p or p/q: Fraction alone takes "1e999999999" and builds a 10⁹-digit
+# integer; [0-9] and not \d, which would take other scripts' digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(s):
+    """An int or a string "p" or "p/q" of ASCII digits as a Fraction."""
+    if type(s) is int:
+        return Fraction(s)
+    if type(s) is not str:  # a float is rounded, a bool no number
+        raise InputError(f"bad rational value {s!r}: not a string or int")
+    m = _RATIONAL.fullmatch(s)
+    try:
+        if m is None:
+            raise ValueError(f"Invalid literal for Fraction: {s!r}")
+        p, q = m.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except (ValueError, ZeroDivisionError) as e:
+        # int() past the digit limit and Fraction(p, 0) raise the messages
+        # Fraction(s) raises, so the error line is the same either way
+        raise InputError(f"bad rational value {s!r}: {e}")
+
+
 def _ratio(x):
-    """x = p/q in lowest terms, q > 0, for an int, Fraction or string."""
+    """x = p/q in lowest terms, q > 0, for a Fraction, or an int or string
+    read by `parse_rational`."""
     if isinstance(x, float):  # already rounded
         raise InputError(f"pairing value {x!r} is a float")
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = parse_rational(x)
     return x.numerator, x.denominator
 
 
 def group_from_table(orders, pairing):
     """An abstract discriminant group given by orders and a pairing table,
     each entry p/q checked on p and q: 0 ≤ p < q and q | its row's order."""
+    if not isinstance(orders, (list, tuple)):
+        raise InputError(f"group orders {orders!r} are not a list")
     orders = tuple(orders)
     for d in orders:
         if isinstance(d, bool) or not isinstance(d, int):
@@ -152,7 +178,9 @@ def group_from_table(orders, pairing):
         if b % a != 0:
             raise InputError("group orders must form a divisibility chain")
     k = len(orders)
-    if len(pairing) != k or any(len(row) != k for row in pairing):
+    if not isinstance(pairing, (list, tuple)) or len(pairing) != k or any(
+            not isinstance(row, (list, tuple)) or len(row) != k
+            for row in pairing):
         raise InputError("pairing table must be k×k for k group orders")
     table = [[_ratio(x) for x in row] for row in pairing]
     for i in range(k):
@@ -253,12 +281,30 @@ def _search(g, q, candidates, rows):
     return found
 
 
-def _torsion_gens(g, q):
-    """The SNF generators (d_i/gcd(d_i, q))·e_i of G[q] = {x : q·x = 0},
-    one for each d_i with gcd(d_i, q) > 1."""
-    k = len(g.orders)
-    return [tuple(d // gcd(d, q) if j == i else 0 for j in range(k))
-            for i, d in enumerate(g.orders) if gcd(d, q) > 1]
+def _maximal_isotropic(g, elements):
+    """What one greedy pass takes from elements (G[q] ∖ 0 in lexicographic
+    order): the least x left is taken if λ(x, x) = 0, and then only the
+    later y with λ(x, y) = 0 are kept, else x is dropped; only a taken x
+    gets its row r(x).  The taken elements are isotropic and pairwise
+    orthogonal, so with 0 they span an isotropic S, and an isotropic y
+    orthogonal to them all is never dropped, so it is taken: S is the
+    taken set with 0, and a maximal isotropic subgroup of G[q].
+
+    Maximal isotropic subgroups H, K of a finite form have one order:
+    (K ∩ H^⊥) + H is isotropic, so K ∩ H^⊥ = K ∩ H, and x ↦ λ(x, ·) embeds
+    K/(K ∩ H) into the characters of H/(K ∩ H); so |K| ≤ |H|, and equality
+    holds by symmetry.  So G[q] has an isotropic subgroup of order q iff
+    the pass takes at least q − 1 elements there.
+    """
+    n = g.exponent
+    taken, rest = [], elements[::-1]  # decreasing, so pop() takes the least
+    while rest:
+        x = rest.pop()
+        r = _row(g, x)
+        if _isotropic(n, r, x):
+            taken.append(x)
+            rest = [y for y in rest if _isotropic(n, r, y)]
+    return taken
 
 
 def _subgroups(g, m, isotropic):
@@ -274,15 +320,21 @@ def _subgroups(g, m, isotropic):
     search.  For a metabolizer it is isotropic as well: |G_p| = q², and
     |G[q]| = q only when G_p ≅ ℤ/q², whose subgroup q·G_p pairs to
     q²·λ(x, y) = 0, since λ(x, y) has order dividing q² on it.  Otherwise
-    the part is searched among the nonzero elements of G[q].
+    the part is searched among the nonzero elements of G[q]; with isotropic
+    set, only once a greedy pass has found order q in every such part.
     Each choice of one subgroup per part is summed as the set {x + y}.
     Isotropy is tested within a part only: λ(G_p, G_p') = 0 for p ≠ p'.
     """
     n = g.exponent
+    torsions = [(q, list(itertools.product(
+        *[range(0, d, d // gcd(d, q)) for d in g.orders])))
+        for q in _prime_powers(m) or [1]]
+    if isotropic and any(len(t) > q and
+                         len(_maximal_isotropic(g, t[1:])) < q - 1
+                         for q, t in torsions):
+        return []
     parts = []
-    for q in _prime_powers(m) or [1]:
-        torsion = list(itertools.product(
-            *[range(0, d, d // gcd(d, q)) for d in g.orders]))
+    for q, torsion in torsions:
         if len(torsion) == q:
             parts.append([frozenset(torsion)])
             continue
@@ -309,76 +361,16 @@ def subgroups_of_order(g, m):
     return _subgroups(g, m, isotropic=False)
 
 
-def _witt_class_vanishes(g, q, p):
-    """Whether λ on G_p (p odd, q = p^e the p-part of the exponent) is 0 in
-    the Witt group W(F_p); None when λ on G_p is degenerate.
-
-    G_p is split orthogonally into cyclic summands ⟨u/p^k⟩.  With p^k the
-    largest element order left, a step takes an x among the generators and
-    their pairwise sums with λ(x, x) of order p^k; one exists whenever λ is
-    nondegenerate there (2 is a unit mod p), and then x has order p^k too.
-    Every generator y is replaced by its projection y − c·x onto x^⊥, which
-    divides the order of the part left by p^k, so the loop ends.  A summand
-    with k even is metabolic, and one with k odd has the class of ⟨u⟩ in
-    W(F_p); with r of them, r is even since |G_p| is a square, and the sum
-    vanishes iff the discriminant (−1)^{r/2}·∏u is a square mod p (Euler's
-    criterion).
-    """
-    n = g.exponent
-
-    def pair(x, y):  # N·λ(x, y) mod N
-        return sum(map(mul, _row(g, x), y)) % n
-
-    gens = _torsion_gens(g, q)
-    r, units = 0, 1
-    while gens:
-        m = max(element_order(g, y) for y in gens)
-        x = next((x for x in itertools.chain(
-            gens, (add(g, y, z) for y, z in itertools.combinations(gens, 2)))
-            if n // gcd(pair(x, x), n) == m), None)
-        if x is None:
-            return None
-        # λ(x, x) = u/p^k with p^k = m, the order of x, so λ(x, y) has
-        # order dividing m for every y and is cancelled by a multiple of x
-        u = pair(x, x) // (n // m)
-        inv = pow(u, -1, m)
-        rest = []
-        for y in gens:
-            c = pair(x, y) // (n // m) * inv
-            y = tuple((a - c * xa) % d for a, xa, d in zip(y, x, g.orders))
-            if any(y):
-                rest.append(y)
-        gens = rest
-        if isqrt(m) ** 2 != m:
-            r, units = r + 1, units * u
-    return pow((-1) ** (r // 2) * units, (p - 1) // 2, p) == 1
-
-
-def _witt_obstructed(g):
-    """For |G| a square: True when λ on some odd p-part G_p is
-    nondegenerate with a nonzero Witt class, which no form with a
-    metabolizer has: a metabolizer M of G has p-part M_p with
-    |M_p|² = |G_p|, so M_p = M_p^⊥ and λ on G_p is metabolic.  The 2-part
-    never obstructs: a nondegenerate form on a 2-group of square order
-    > 1 has a nonzero isotropic x, and ⟨x⟩^⊥/⟨x⟩ is again one of square
-    order, so it has a metabolizer by induction."""
-    for q in _prime_powers(g.exponent):
-        p = next(d for d in itertools.count(2) if q % d == 0)
-        if p > 2 and _witt_class_vanishes(g, q, p) is False:
-            return True
-    return False
-
-
 def metabolizers_of_group(g):
     """All metabolizers: subgroups M with |M|² = |G| and λ|_{M×M} ≡ 0.
 
-    There are none when |G| is not a square, or when the Witt class of λ
-    on some odd p-part is nonzero; otherwise they are searched for.
+    There are none when |G| is not a square; otherwise `_subgroups`
+    decides by one greedy pass per prime before it searches.
     """
     _check_cap(g)
     n = g.order
     m = isqrt(n)
-    if m * m != n or _witt_obstructed(g):
+    if m * m != n:
         return []
     return _subgroups(g, m, isotropic=True)
 

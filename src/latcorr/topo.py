@@ -9,7 +9,6 @@ obstruction is inconclusive when it fires and carries a caveat otherwise,
 and `chain_check` does not yet take the parity into account.
 """
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -71,28 +70,6 @@ class ObstructionReport:
     orientation_note: str = None
 
 
-# only p or p/q: Fraction alone takes "1e999999999" and builds a 10⁹-digit
-# integer; [0-9] and not \d, which would take other scripts' digits
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_rational(s):
-    if type(s) is int:
-        return Fraction(s)
-    if type(s) is not str:  # a float is rounded, a bool no number
-        raise InputError(f"bad rational value {s!r}: not a string or int")
-    m = _RATIONAL.fullmatch(s)
-    try:
-        if m is None:
-            raise ValueError(f"Invalid literal for Fraction: {s!r}")
-        p, q = m.groups()
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
-    except (ValueError, ZeroDivisionError) as e:
-        # int() past the digit limit and Fraction(p, 0) raise the messages
-        # Fraction(s) raises, so the error line is the same either way
-        raise InputError(f"bad rational value {s!r}: {e}")
-
-
 def _expect(value, kind, what):
     """A JSON value of exactly the given type (so a bool is no int)."""
     if type(value) is not kind:
@@ -119,8 +96,9 @@ def load_dtable(path):
             raise InputError(f"d-table file is missing the '{key}' key")
     orders = tuple(_expect(d, int, "order")
                    for d in _expect(obj["orders"], list, "orders"))
-    pairing = tuple(tuple(_parse_rational(x) for x in _expect(row, list, "row"))
-                    for row in _expect(obj["pairing"], list, "pairing"))
+    pairing = tuple(
+        tuple(discgroup.parse_rational(x) for x in _expect(row, list, "row"))
+        for row in _expect(obj["pairing"], list, "pairing"))
     grp = discgroup.group_from_table(orders, pairing)
     _check_nondegenerate(grp)
     # each record is checked and parsed in one pass; a key is checked
@@ -146,7 +124,7 @@ def load_dtable(path):
             raise InputError(f"d-table element {elem} out of range")
         if elem in values:
             raise InputError(f"duplicate d-table element {elem}")
-        values[elem] = _parse_rational(rec["value"])
+        values[elem] = discgroup.parse_rational(rec["value"])
     table = DInvariantTable(group=grp, values=values)
     z2 = _expect(obj["z2_homology_sphere"], bool, "z2_homology_sphere")
     if z2 != table.z2_homology_sphere:

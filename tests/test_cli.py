@@ -509,8 +509,9 @@ def test_chain_takes_d_of_u_as_the_constrained_min_for_odd_order(
 
 
 def test_metabolizer_oracle_agrees_on_an_anisotropic_form(capsys, tmp_path):
-    # the Witt certificate answers for I₄ ⊕ diag(3, 3), and the oracle's
-    # brute search agrees that there is no metabolizer
+    # the greedy isotropic pass answers for I₄ ⊕ diag(3, 3) without a
+    # search, and the oracle's brute search agrees that there is no
+    # metabolizer
     lat_file, _ = _diag_files(tmp_path, (1, 1, 1, 1, 3, 3))
     code, payload = run_json(capsys, "lattice", "metabolizers", str(lat_file),
                              "--oracle")

@@ -116,13 +116,33 @@ def test_group_from_table_validation():
     with pytest.raises(InputError):
         discgroup.group_from_table((2,), [["1/3"]])
     # int() would truncate an order of 2.7 to a group of order 2, and a
-    # float pairing value is rounded already
+    # float pairing value is rounded already; strings are read in the
+    # d-table's strict p/q syntax, since Fraction("1e999999999") would build
+    # a 10⁹-digit integer, and a malformed value or table is an InputError
+    bad = "bad rational value"
+    literal = "Invalid literal for Fraction"
+    square = "pairing table must be k×k for k group orders"
     for orders, pairing, message in [
             ((2.7,), [["1/2"]], "group order 2.7 is not an integer"),
             ((True, 2), [["0", "0"], ["0", "1/2"]],
              "group order True is not an integer"),
             (("2",), [["1/2"]], "group order '2' is not an integer"),
-            ((2,), [[0.5]], "pairing value 0.5 is a float")]:
+            ((2,), [[0.5]], "pairing value 0.5 is a float"),
+            ((2,), [["abc"]], f"{bad} 'abc': {literal}: 'abc'"),
+            ((2,), [["1/0"]], f"{bad} '1/0': Fraction(1, 0)"),
+            ((2,), [[None]], f"{bad} None: not a string or int"),
+            ((2,), [[False]], f"{bad} False: not a string or int"),
+            ((2,), [["0.5"]], f"{bad} '0.5': {literal}: '0.5'"),
+            ((2,), [["1e-1"]], f"{bad} '1e-1': {literal}: '1e-1'"),
+            ((2,), [[" 1/2 "]], f"{bad} ' 1/2 ': {literal}: ' 1/2 '"),
+            ((2,), [["1e999999999"]],
+             f"{bad} '1e999999999': {literal}: '1e999999999'"),
+            ((2,), None, square),
+            ((2,), [1], square),
+            ((2,), "1", square),
+            (None, [["0"]], "group orders None are not a list"),
+            (5, [["0"]], "group orders 5 are not a list"),
+            ("22", [["0"]], "group orders '22' are not a list")]:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             discgroup.group_from_table(orders, pairing)
     g = discgroup.group_from_table([2, 4], [[0, "1/2"],
@@ -688,16 +708,30 @@ def _table_form(rng, p, diagonal):
     return discgroup.group_from_table(ds, table)
 
 
+def _torsion(g, q):
+    """G[q] = {x : q·x = 0}, in lexicographic order, by a scan of G."""
+    return [x for x in g.elements()
+            if all(q * a % d == 0 for a, d in zip(x, g.orders))]
+
+
 def _searched_metabolizers(g):
-    """The metabolizers found without the Witt certificate: by the oracle
-    when |G| ≤ 512, by the search above that."""
+    """The metabolizers found without the greedy pass: by the oracle when
+    |G| ≤ 512; above that by the search run on the isotropic elements of
+    each G[q] (a forced part too), summed as sets."""
     m = isqrt(g.order)
     if g.order <= 512:
         return [s.elements for s in oracle.brute_subgroups(g)
                 if s.order == m and all(oracle.lam(g, x, y) == 0
                                         for x in s.elements
                                         for y in s.elements)]
-    return [s.elements for s in discgroup._subgroups(g, m, isotropic=True)]
+    found = [{g.identity}]
+    for q in discgroup._prime_powers(m):
+        candidates = [x for x in _torsion(g, q)[1:]
+                      if oracle.lam(g, x, x) == 0]
+        rows = {x: discgroup._row(g, x) for x in candidates}
+        found = [{discgroup.add(g, x, y) for x in s for y in t} for s in found
+                 for t in discgroup._search(g, q, candidates, rows)]
+    return sorted(tuple(sorted(s)) for s in found)
 
 
 def _nondegenerate(g):
@@ -708,37 +742,64 @@ def _nondegenerate(g):
     return True
 
 
-def test_witt_class_decides_whether_a_metabolizer_exists(rng):
-    # on a nondegenerate form of odd square order, the Witt class of some
-    # p-part is nonzero iff there is no metabolizer; on a degenerate one
-    # the certificate decides nothing
+def _greedy_order(g, q):
+    """The order of what the greedy pass takes from G[q], with 0, after
+    checking that it is an isotropic subgroup, maximal in G[q]."""
+    torsion = _torsion(g, q)
+    taken = discgroup._maximal_isotropic(g, torsion[1:])
+    gens, h = [], {g.identity}
+    for x in taken:
+        if x not in h:
+            gens.append(x)
+            h = _ref_span(g.orders, gens)
+    assert h == {g.identity, *taken} and len(h) == len(taken) + 1
+    assert all(oracle.lam(g, x, y) == 0 for x in gens for y in gens)
+    # h + ⟨z⟩ is isotropic iff z is isotropic and orthogonal to h
+    assert not any(all(oracle.lam(g, z, y) == 0 for y in [z, *gens])
+                   for z in torsion if z not in h)
+    return len(h)
+
+
+def _decided_by_the_pass(g):
+    """Check the pass on every G[q], q ∥ √|G|, and the metabolizers against
+    the reference; whether the pass found an isotropic subgroup of order q
+    in each G[q], which must be whether a metabolizer exists."""
+    m = isqrt(g.order)
+    exists = all(_greedy_order(g, q) >= q
+                 for q in discgroup._prime_powers(m))
+    expect = _searched_metabolizers(g)
+    assert exists == bool(expect), (g.orders, g.form)
+    assert [s.elements for s in discgroup.metabolizers_of_group(g)
+            ] == expect, (g.orders, g.form)
+    return exists
+
+
+def test_greedy_pass_decides_whether_a_metabolizer_exists(rng):
+    # every maximal isotropic subgroup of G[q] has one order, so the one
+    # the pass finds is at least q iff a metabolizer has a part there;
+    # degenerate forms included, which the random tables give
     groups = [_table_form(rng, rng.choice((3, 5, 7, 11, 13)), True)
               for _ in range(10)]
     groups += [_table_form(rng, rng.choice((3, 5, 7)), False)
                for _ in range(12)]
     groups += [_conjugate_group(rng, _diag(ds)) for ds in (
         (3, 3), (5, 5), (7, 7), (3, 27), (9, 9), (5, 125), (11, 11),
-        (3, 3, 9, 9), (5, 5, 5, 5), (5, 5, 7, 7))]
+        (3, 3, 9, 9), (5, 5, 5, 5), (5, 5, 7, 7), (6, 6))]
     n_lattices = 0
     while n_lattices < 8:
-        # seeded B·Bᵀ lattices, whose discriminant (det B)² is a square
+        # seeded B·Bᵀ lattices, whose discriminant (det B)² is a square;
+        # odd ones, as the oracle is slow on groups of two primes
         g = discgroup.disc_group(lattice_mod.make_lattice(
             random_posdef_gram(rng, max_rank=5, max_disc=150)))
         if g.order % 2 and g.order > 1 and isqrt(g.order) ** 2 == g.order:
             groups.append(g)
             n_lattices += 1
-    tally = {True: 0, False: 0, None: 0}
+    tally = {True: 0, False: 0, "degenerate": 0}
     for g in groups:
-        obstructed = discgroup._witt_obstructed(g)
-        if _nondegenerate(g):
-            assert obstructed == (_searched_metabolizers(g) == []), g
-            tally[obstructed] += 1
-        else:
-            assert obstructed is False
-            assert [s.elements for s in discgroup.metabolizers_of_group(g)
-                    ] == _searched_metabolizers(g)
-            tally[None] += 1
-    assert tally[True] >= 5 and tally[False] >= 5 and tally[None] >= 1
+        tally[_decided_by_the_pass(g)] += 1
+        tally["degenerate"] += not _nondegenerate(g)
+    assert tally[True] >= 5 and tally[False] >= 5 and \
+        tally["degenerate"] >= 3, tally
 
 
 def _two_primary_form(rng, ds):
@@ -759,20 +820,20 @@ def test_two_primary_forms_of_square_order_are_metabolic(rng):
     # a nonzero isotropic x of order 2 exists once |G| > 2: 2^{k-1}·y for y
     # of order 2^k ≥ 4, else one of a, b, a + b for independent a, b of
     # order 2; H^⊥/H for H = ⟨x⟩ is again nondegenerate of square order,
-    # so by induction a metabolizer exists and the 2-part never obstructs.
-    # The oracle enumerates every subgroup, which on 2⁶ (2,825 of them)
-    # takes seconds, so there each metabolizer is checked directly.
+    # so by induction a metabolizer exists, and the pass finds a part of
+    # order q.  The oracle enumerates every subgroup, which on 2⁶ (2,825 of
+    # them) takes seconds, so there each metabolizer is checked directly.
     for ds in ((2, 2), (4,), (2,) * 4, (2, 2, 4), (4, 4), (2, 2, 4, 4),
                (8, 8), (2,) * 6):
         for _ in range(2):
             g = _two_primary_form(rng, ds)
-            assert discgroup._witt_obstructed(g) is False
-            mets = discgroup.metabolizers_of_group(g)
-            assert mets, ds
             if ds != (2,) * 6:
-                assert [s.elements for s in mets] == \
-                    _searched_metabolizers(g)
+                assert _decided_by_the_pass(g), ds
                 continue
+            (q,) = discgroup._prime_powers(isqrt(g.order))
+            assert _greedy_order(g, q) == q
+            mets = discgroup.metabolizers_of_group(g)
+            assert mets
             for s in mets:
                 assert s.order ** 2 == g.order
                 assert all(discgroup.add(g, x, y) in s.elements
@@ -791,8 +852,9 @@ def _forbid_search(monkeypatch):
 
 def test_anisotropic_odd_parts_need_no_search(rng, monkeypatch):
     # 3⁶ and 3²⊕9² with diagonal forms, and the lattices I₄ ⊕ diag(3, 3)
-    # and I₃ ⊕ A₂ ⊕ A₂, have no metabolizer, and a nonzero Witt class of
-    # their 3-part says so before any subgroup is built
+    # and I₃ ⊕ A₂ ⊕ A₂, have no metabolizer: the greedy pass over the
+    # 3-part's G[q] finds a maximal isotropic subgroup smaller than q, and
+    # says so before any subgroup is built
     i3_a2_a2 = [[int(i == j) for j in range(3)] + [0] * 4
                 for i in range(3)] + [[0] * 3 + row for row in A2_A2]
     groups = [_conjugate_group(rng, gram) for gram in (
@@ -805,11 +867,11 @@ def test_anisotropic_odd_parts_need_no_search(rng, monkeypatch):
         assert discgroup.metabolizers_of_group(g) == []
 
 
-def test_witt_certificate_leaves_the_two_part_to_the_search(monkeypatch):
-    # on 6² the 3-part ⟨1/3⟩ ⊕ ⟨1/3⟩ is anisotropic, so nothing is built;
-    # the 2-part ⟨1/2⟩ ⊕ ⟨1/2⟩, the image of that form at p = 2, has the
-    # metabolizer {0, (1, 1)}, and beside the 3-part ⟨1/3⟩ ⊕ ⟨2/3⟩ of class
-    # zero it is searched and found
+def test_greedy_pass_leaves_the_two_part_to_the_search(monkeypatch):
+    # on 6² the 3-part ⟨1/3⟩ ⊕ ⟨1/3⟩ is anisotropic, so nothing is built,
+    # although the pass over the 2-part runs first and finds one; the
+    # 2-part ⟨1/2⟩ ⊕ ⟨1/2⟩ has the metabolizer {0, (1, 1)}, and beside the
+    # isotropic 3-part ⟨1/3⟩ ⊕ ⟨2/3⟩ it is searched and found
     anisotropic = discgroup.group_from_table((6, 6), [["5/6", "0"],
                                                       ["0", "5/6"]])
     mixed = discgroup.group_from_table((6, 6), [["5/6", "0"],
@@ -832,10 +894,12 @@ def test_witt_certificate_leaves_the_two_part_to_the_search(monkeypatch):
     assert discgroup.metabolizers_of_group(anisotropic) == []
 
 
-def test_witt_certificate_ends_on_a_degenerate_form():
-    # λ vanishes on the second generator, so no split reaches it: the
-    # certificate decides nothing and the search answers
+def test_greedy_pass_decides_a_degenerate_form():
+    # λ vanishes on the second generator, which the pass takes with its
+    # double: the radical, a maximal isotropic subgroup of order 3 = q, so
+    # the search runs and finds it
     g = discgroup.group_from_table((3, 3), [["1/3", "0"], ["0", "0"]])
-    assert discgroup._witt_obstructed(g) is False
+    assert discgroup._maximal_isotropic(g, _torsion(g, 3)[1:]) == [
+        (0, 1), (0, 2)]
     assert [s.elements for s in discgroup.metabolizers_of_group(g)] == [
         ((0, 0), (0, 1), (0, 2))]
