@@ -5,14 +5,17 @@ positive definite integer A, by depth-first branch and bound over the
 fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
-`min_char_square` splits the basis vectors of square 1 off the input
-basis, then LLL-reduces what is left and splits again until none remain,
-so the search only sees the part of the lattice without them; each
-reduction also yields det G, the one place unimodularity is decided.  The
-search's one witness is mapped back through the recorded stages.
-`constrained_min` searches its one characteristic coset in a reduced
-basis.  Both work on integer Gram matrices and on integer basis rows over
-one denominator.
+`_reduce` splits the basis vectors of square 1 off the input basis, then
+LLL-reduces what is left and splits again until none remain, so that a
+lattice is written Zᵏ ⊕ R with the parts orthogonal and the search only
+sees R.  `min_char_square` runs it on a unimodular lattice, reads det G
+off its reductions, the one place unimodularity is decided, and maps the
+search's one witness back through the recorded stages.  `constrained_min`
+runs it on U(M), whose constraint set is 2^r classes of U/2U; a class
+costs its odd unit coordinates plus one search on R, and the classes are
+visited by that lower bound until it reaches the least square found.
+Both work on integer Gram matrices and on integer basis rows over one
+denominator.
 """
 
 from dataclasses import dataclass
@@ -132,21 +135,20 @@ def _integral_gram(obj):
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
-def min_char_square(obj):
-    """Exact min of χ² over the characteristic vectors of a unimodular
-    positive definite lattice, with a witness in base-lattice coordinates.
+def _reduce(gram):
+    """Split off the basis vectors of square 1 of a positive definite
+    integer Gram matrix, LLL-reduce the rest and split again, until a
+    reduced basis has none.
 
-    Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
-    characteristic minimum of Zv is 1, attained at v.  The split starts on
-    the input basis; the rest is LLL-reduced and split again, until a
-    reduced basis has no vector of square 1.  Only that rest goes to the
-    branch and bound.  A split keeps the determinant, so each reduction's
-    det G decides unimodularity; when everything splits, U is Zⁿ.  The
-    rest's witness is mapped back through the splits and reductions.
+    Returns (stages, rest, det): the splits (units, rest, C) and the LLL
+    transforms T, in order; the Gram matrix of what is left; and det G,
+    which neither a split nor a reduction changes (1 when all splits).
+    Each stage is a unimodular change of basis, so the lattice is Zᵏ ⊕ R
+    with the two parts orthogonal, k the number of units split off and R
+    the lattice of `rest`.
     """
-    gram, basis, denom, kind = _integral_gram(obj)
-    stages = []  # splits (units, rest, C) and LLL transforms T, in order
-    minimum = 0
+    stages = []
+    det = 1
     units = [i for i, row in enumerate(gram) if row[i] == 1]
     while True:
         if units:
@@ -154,7 +156,6 @@ def min_char_square(obj):
             # with equality only for v = ±w), so b_j of the rest projects to
             # b_j − Σ c_ji·b_i over the units i, C = gram[rest][units], and
             # the rest's Gram matrix is gram[rest][rest] − C·Cᵀ
-            minimum += len(units)
             rest = [j for j, row in enumerate(gram) if row[j] != 1]
             c = [[gram[j][i] for i in units] for j in rest]
             stages.append((units, rest, c))
@@ -163,12 +164,29 @@ def min_char_square(obj):
             if not gram:
                 break
         t, gram, det = exactmat.lll_gram(gram)
-        if det != 1:
-            raise InputError(f"correction term requires a unimodular {kind}")
         stages.append(t)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
             break
+    return stages, gram, det
+
+
+def min_char_square(obj):
+    """Exact min of χ² over the characteristic vectors of a unimodular
+    positive definite lattice, with a witness in base-lattice coordinates.
+
+    Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
+    characteristic minimum of Zv is 1, attained at v.  `_reduce` splits
+    and LLL-reduces until a reduced basis has no vector of square 1, and
+    only that rest goes to the branch and bound.  det G, read off the
+    reductions, decides unimodularity; when everything splits, U is Zⁿ.
+    The rest's witness is mapped back through the splits and reductions.
+    """
+    gram, basis, denom, kind = _integral_gram(obj)
+    stages, gram, det = _reduce(gram)
+    if det != 1:
+        raise InputError(f"correction term requires a unimodular {kind}")
+    minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
     v, nodes = [], 0
     if gram:
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
@@ -209,6 +227,30 @@ def embeds_in_standard(lat):
     return d_set(discgroup.disc_group(lat)).contains_zero
 
 
+def _bits(x):
+    return sum((b & 1) << j for j, b in enumerate(x))
+
+
+def _classes_mod2(stages, vectors):
+    """Map integer vectors, coordinates in the input basis of `_reduce`,
+    mod 2 through its stages.  Returns one (odd, rest) pair of bit masks
+    per vector: bit k of odd is its parity on the k-th unit split off, bit
+    j of rest its parity on coordinate j of the rest.  The map is linear
+    over F₂, so the image of a sum mod 2 is the XOR of the images."""
+    odd = [[] for _ in vectors]
+    for stage in stages:
+        if type(stage) is tuple:  # on unit i, x is x_i + Σ_j x_j·c_ji
+            units, rest, c = stage
+            for x, bits in zip(vectors, odd):
+                bits += [x[i] + sum(x[j] * cj[k] for j, cj in zip(rest, c))
+                         for k, i in enumerate(units)]
+            vectors = [[x[j] for j in rest] for x in vectors]
+        else:  # x = y·T for y in the reduced basis, the rows of T
+            tt = exactmat.transpose(stage)
+            vectors = [exactmat.solve_mod2(tt, x)[0] for x in vectors]
+    return [(_bits(o), _bits(x)) for o, x in zip(odd, vectors)]
+
+
 def constrained_min(lat, u):
     """Exact min of (χ² − n)/4 over the characteristic covectors χ of L that
     lie in the intermediate lattice U = U(M), i.e. whose projection lies in
@@ -216,9 +258,14 @@ def constrained_min(lat, u):
 
     With B = u.rows/u.denom the basis of U, χ = c·B is characteristic for
     L exactly when (B·G_L)ᵀ·c ≡ diag(G_L) mod 2.  Two solutions differ by
-    an element of Λ = U ∩ 2L*, so the constraint set is the one coset
-    c₀ + Λ; it is searched once, in an LLL-reduced basis of Λ, where c₀ is
-    placed by an integer triangular solve and one solve over F₂.
+    an element of Λ = U ∩ 2L* ⊃ 2U, so the constraint set is the union of
+    the 2^r classes c₀ + span(kernel) of U/2U, r the kernel's dimension
+    over F₂, and each class's least square is a coset minimum of U's Gram
+    matrix.  `_reduce` writes U = Zᵏ ⊕ R with the parts orthogonal, so a
+    class costs 1 per odd unit coordinate plus its coset minimum on R: 0
+    for the zero class of R, at least 1 for any other.  The classes are
+    visited in increasing order of that lower bound, and the walk stops
+    once the bound reaches the least square found.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -233,25 +280,22 @@ def constrained_min(lat, u):
         # diag(G) ⊥ ker(G mod 2), so L ⊂ U holds characteristic vectors
         raise InvariantViolation("no characteristic covector lies in U")
     c0, kernel = sol
-    twice = exactmat.scale(exactmat.identity(n), 2)
-    rows = exactmat.hnf(kernel + twice)[:n]  # basis of Λ in U's basis
-    a = exactmat.gram_of_rows(rows, u.scaled_gram)  # R·(H·G_L·Hᵀ)·Rᵀ
-    # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
-    g = gcd(e * e, *(x for row in a for x in row))
+    # U's Gram matrix is H·G_L·Hᵀ/e² = (H·G_L·Hᵀ/g)/denom, in lowest terms
+    g = gcd(e * e, *(x for row in u.scaled_gram for x in row))
     denom = e * e // g
-    t, a, _ = exactmat.lll_gram([[x // g for x in row] for row in a])
-    # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
-    # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
-    # HNF rows; coset_min reads z mod 2 only, so z·T ≡ y is solved over F₂
-    y = []
-    for j in range(n):
-        q, r = divmod(2 * c0[j] - sum(y[i] * rows[i][j] for i in range(j)),
-                      rows[j][j])
+    stages, rest, _ = _reduce([[x // g for x in row]
+                               for row in u.scaled_gram])
+    classes = _classes_mod2(stages, [c0] + kernel)
+    cosets = classes[:1]  # c₀ + span(kernel), formed by XOR
+    for ko, kr in classes[1:]:
+        cosets += [(o ^ ko, r ^ kr) for o, r in cosets]
+    best = None
+    for bound, o, r in sorted((o.bit_count() + (r != 0), o, r)
+                              for o, r in cosets):
+        if best is not None and bound >= best:
+            break
+        val = o.bit_count()
         if r:
-            raise InvariantViolation("2U is not contained in U ∩ 2L*")
-        y.append(q)
-    z, _ = exactmat.solve_mod2(exactmat.transpose(t), y)
-    # c₀ + Λ is {v/2 : v ≡ z (mod 2)} in that basis, so its minimum
-    # square is min vᵀav/(4·denom)
-    val, _, _ = coset_min(a, z)
-    return (Fraction(val, 4 * denom) - n) / 4
+            val += coset_min(rest, [r >> j & 1 for j in range(len(rest))])[0]
+        best = val if best is None else min(best, val)
+    return (Fraction(best, denom) - n) / 4

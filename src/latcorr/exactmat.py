@@ -65,10 +65,6 @@ def gram_of_rows(x, g):
     return matmul(x, transpose(matmul(x, g)))
 
 
-def scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def det(a):
     """Exact determinant of a square integer matrix (Bareiss fraction-free)."""
     if not is_square(a):
@@ -203,10 +199,12 @@ def snf(a):
                     if d[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
-        # divisibility fix-up: fold any non-divisible entry into the pivot
+        # divisibility fix-up: fold any non-divisible entry into the pivot;
+        # a ±1 divides every entry, so it needs no scan
         p = d[t][t]
-        i = next((i for i in range(t + 1, rows)
-                  if any(x % p for x in d[i][t + 1:])), None)
+        i = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, rows)
+             if any(x % p for x in d[i][t + 1:])), None)
         if i is not None:
             row_op(t, i, -1)
             continue

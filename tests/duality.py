@@ -5,16 +5,18 @@ characteristic witness are stated on the dual lattice, which the library
 never builds.  These helpers build it from the Fraction references of
 `latcorr.oracle`.  Vectors are rational coordinate vectors in the basis of
 the lattice.  `snf` is the reference Smith form that also tracks the row
-transform U, which the library's `exactmat.snf` drops.
+transform U, which the library's `exactmat.snf` drops.  `constrained_min`
+is the reference constrained minimum that searches the one coset c₀ + Λ in
+a basis of Λ = U ∩ 2L*, where the library's searches the classes of U/2U.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from latcorr import discgroup, exactmat, oracle
-from latcorr.errors import NotInDualLattice
+from latcorr import corrterm, discgroup, exactmat, oracle
+from latcorr.errors import InvariantViolation, NotInDualLattice
 from latcorr.overlattice import _canonical, int_gram, is_integral
 
 
@@ -193,3 +195,47 @@ def index_check(lat, u):
     """([L':L], [L*:(L')*]) for an integral intermediate lattice L', the
     second as the Fraction |L*/L| / [(L')*:L]."""
     return u.index, Fraction(discriminant(lat), dual_of(lat, u).index)
+
+
+def constrained_min(lat, u):
+    """min (χ² − n)/4 over the characteristic covectors χ = c·B of L in U,
+    B = u.rows/u.denom, by one search of the coset c₀ + Λ.
+
+    Λ = U ∩ 2L* is the c with (B·G_L)ᵀ·c ≡ 0 mod 2: its basis is the HNF of
+    the kernel mod 2 and 2·I, in U's basis.  The coset is searched once, in
+    an LLL-reduced basis of Λ, where c₀ is placed by an integer triangular
+    solve and one solve over F₂."""
+    gram = lat.gram_rows()
+    n = lat.rank
+    h, e = u.rows, u.denom  # B = h/e
+    p = exactmat.matmul(h, gram)  # e·B·G_L
+    if any(x % e for row in p for x in row):
+        raise NotInDualLattice("overlattice is not contained in L*")
+    sol = exactmat.solve_mod2([[x // e for x in row]
+                               for row in exactmat.transpose(p)],
+                              [gram[i][i] for i in range(n)])
+    if sol is None:
+        raise InvariantViolation("no characteristic covector lies in U")
+    c0, kernel = sol
+    twice = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    rows = exactmat.hnf(kernel + twice)[:n]  # basis of Λ in U's basis
+    a = exactmat.gram_of_rows(rows, u.scaled_gram)  # R·(H·G_L·Hᵀ)·Rᵀ
+    # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
+    g = gcd(e * e, *(x for row in a for x in row))
+    denom = e * e // g
+    t, a, _ = exactmat.lll_gram([[x // g for x in row] for row in a])
+    # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
+    # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
+    # HNF rows; coset_min reads z mod 2 only, so z·T ≡ y is solved over F₂
+    y = []
+    for j in range(n):
+        q, r = divmod(2 * c0[j] - sum(y[i] * rows[i][j] for i in range(j)),
+                      rows[j][j])
+        if r:
+            raise InvariantViolation("2U is not contained in U ∩ 2L*")
+        y.append(q)
+    z, _ = exactmat.solve_mod2(exactmat.transpose(t), y)
+    # c₀ + Λ is {v/2 : v ≡ z (mod 2)} in that basis, so its minimum
+    # square is min vᵀav/(4·denom)
+    val, _, _ = corrterm.coset_min(a, z)
+    return (Fraction(val, 4 * denom) - n) / 4

@@ -440,47 +440,64 @@ def test_bundled_commands_call_no_fraction_reference(capsys, monkeypatch):
     assert {code for code, _ in before} == {0, 1, 2, 3}
 
 
-def test_chain_searches_one_coset_per_constrained_min(capsys, monkeypatch,
-                                                      tmp_path):
-    # each constrained minimum is one search over its characteristic coset,
-    # on the U(M) that d_set built: 3 intermediate lattices in all, each
-    # built by overlattice._canonical (the package attribute `overlattice`
-    # is the function, hence the module lookup).  The group (Z/2)⁴ of
-    # diag(2,2,2,2) has even order, so the coset is searched
+def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
+        capsys, monkeypatch, tmp_path):
+    # each constrained minimum walks the classes of U(M)/2U(M) on the U(M)
+    # that d_set built: 3 intermediate lattices in all, each built by
+    # overlattice._canonical (the package attribute `overlattice` is the
+    # function, hence the module lookup).  The group (Z/2)⁴ of
+    # diag(2,2,2,2) has even order, so the classes are walked; every U(M)
+    # is Z⁴ and splits fully, so no class needs a coset search.  No HNF of
+    # U ∩ 2L* is formed, and the constrained minimum reduces U(M) by the
+    # same LLL calls as its characteristic minimum
     overlattice = importlib.import_module("latcorr.overlattice")
     lat_file, table_file = _diag_files(tmp_path, (2, 2, 2, 2), "-1")
     n_mets = 3
-    builds, searches, inside = [], [], []
+    builds, inside = [], []
+    calls = {name: [] for name in ("min_char_square", "constrained_min")}
+    real = {name: getattr(corrterm, name) for name in calls}
     real_canonical = overlattice._canonical
-    real_coset_min = corrterm.coset_min
-    real_constrained_min = corrterm.constrained_min
+    real_lll, real_hnf, real_coset_min = (
+        exactmat.lll_gram, exactmat.hnf, corrterm.coset_min)
 
     def canonical(lat, rows, denom):
         builds.append(rows)
         return real_canonical(lat, rows, denom)
 
-    def coset_min(a, t):
-        if inside:
-            searches[-1] += 1
-        return real_coset_min(a, t)
+    def counted(kind, fn):
+        def wrapper(*args):
+            if inside:
+                inside[-1][kind] += 1
+            return fn(*args)
+        return wrapper
 
-    def constrained_min(lat, u):
-        searches.append(0)
-        inside.append(u)
-        try:
-            return real_constrained_min(lat, u)
-        finally:
-            inside.pop()
+    def entered(name):
+        def wrapper(*args):
+            calls[name].append({"lll": 0, "hnf": 0, "search": 0})
+            inside.append(calls[name][-1])
+            try:
+                return real[name](*args)
+            finally:
+                inside.pop()
+        return wrapper
 
     monkeypatch.setattr(overlattice, "_canonical", canonical)
-    monkeypatch.setattr(corrterm, "coset_min", coset_min)
-    monkeypatch.setattr(corrterm, "constrained_min", constrained_min)
+    monkeypatch.setattr(exactmat, "lll_gram", counted("lll", real_lll))
+    monkeypatch.setattr(exactmat, "hnf", counted("hnf", real_hnf))
+    monkeypatch.setattr(corrterm, "coset_min",
+                        counted("search", real_coset_min))
+    for name in calls:
+        monkeypatch.setattr(corrterm, name, entered(name))
     code, payload = run_json(capsys, "topo", "chain", "--filling",
                              str(lat_file), "--dtable", str(table_file))
     assert code == 0
     assert len(payload["evidence"]) == n_mets
-    assert searches == [1] * n_mets
     assert len(builds) == n_mets
+    assert len(calls["constrained_min"]) == n_mets
+    assert all(c["hnf"] == 0 and c["search"] == 0
+               for c in calls["constrained_min"])
+    assert ([c["lll"] for c in calls["constrained_min"]]
+            == [c["lll"] for c in calls["min_char_square"]])
 
 
 def test_chain_takes_d_of_u_as_the_constrained_min_for_odd_order(

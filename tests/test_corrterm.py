@@ -14,7 +14,8 @@ from latcorr.overlattice import (_canonical, int_gram,
 from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
                       neg_one_a8_gram, random_posdef_gram, random_unimodular,
                       z_plus_e8_gram)
-from duality import is_characteristic, mat_vec, pairing, project
+from duality import (constrained_min as lambda_search_min, is_characteristic,
+                      mat_vec, pairing, project)
 
 
 def test_coset_min_trivial():
@@ -307,6 +308,88 @@ def test_constrained_min_matches_coset_scan(rng):
             assert value == (scan - n) / 4
             checked += 1
     assert checked >= 90
+
+
+def _kernel_dim(lat, u):
+    """r, the F₂-dimension of the c with (B·G_L)ᵀ·c ≡ 0 mod 2 for the
+    basis B of U: the constraint set is 2^r classes of U/2U."""
+    gram = lat.gram_rows()
+    p = exactmat.matmul(u.rows, gram)
+    system = [[x // u.denom for x in row] for row in exactmat.transpose(p)]
+    return len(exactmat.solve_mod2(system, [0] * lat.rank)[1])
+
+
+def test_constrained_min_matches_the_lambda_search_on_every_subgroup():
+    # the walk over the classes of U/2U against the one search of c₀ + Λ in
+    # a reduced basis of Λ = U ∩ 2L* (the reference in tests/duality.py), on
+    # every subgroup of small lattices, M = 0 and M = G included
+    rng = random.Random(7)
+    pairs, dims = 0, set()
+    for _ in range(40):
+        lat = lattice_mod.make_lattice(
+            random_posdef_gram(rng, max_rank=5, max_disc=48))
+        grp = discgroup.disc_group(lat)
+        subgroups = oracle.brute_subgroups(grp)
+        assert subgroups[0].order == 1 and subgroups[-1].order == grp.order
+        for m in subgroups:
+            u = build_overlattice(grp, m)
+            assert (corrterm.constrained_min(lat, u)
+                    == lambda_search_min(lat, u))
+            dims.add(_kernel_dim(lat, u))
+            pairs += 1
+    assert pairs >= 300
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
+    # on a unimodular U(M) the class of U's own characteristic vectors,
+    # mapped through the stages of _reduce, is odd on every unit split off,
+    # and one unit each plus its coset minimum on the rest is min χ² over U
+    grams = [basis_change(g, random_unimodular(rng, len(g), ops=8))
+             for g in (one_plus_a8_gram(), z_plus_e8_gram(),
+                       _diag(2, 2, 2, 2), _diag(1, 9, 4))]
+    grams += [random_posdef_gram(rng, max_rank=5, max_disc=48)
+              for _ in range(60)]
+    checked = rests = 0
+    for gram in grams:
+        grp = discgroup.disc_group(lattice_mod.make_lattice(gram))
+        for m in discgroup.metabolizers_of_group(grp):
+            u = build_overlattice(grp, m)
+            a = int_gram(u)
+            stages, rest, det = corrterm._reduce(a)
+            assert det == 1
+            x, _ = exactmat.solve_mod2(a, [a[i][i] for i in range(len(a))])
+            [(odd, bits)] = corrterm._classes_mod2(stages, [x])
+            units = sum(len(s[0]) for s in stages if type(s) is tuple)
+            assert odd == (1 << units) - 1
+            value = units
+            if rest:
+                rests += 1
+                value += corrterm.coset_min(
+                    rest, [bits >> j & 1 for j in range(len(rest))])[0]
+            assert value == corrterm.min_char_square(u).minimum
+            checked += 1
+    assert checked >= 20 and rests >= 2
+
+
+def test_constrained_min_on_the_metabolizers_of_2i6(monkeypatch):
+    # every metabolizer M of 2·I₆ leaves r = 3, so 8 classes of U(M)/2U(M)
+    # to walk; U(M) is unimodular of rank 6, so Z⁶, and splits fully, so no
+    # class needs a search
+    lat = lattice_mod.make_lattice(_diag(2, 2, 2, 2, 2, 2))
+    grp = discgroup.disc_group(lat)
+    mets = discgroup.metabolizers_of_group(grp)
+    assert len(mets) == 15
+    us = [build_overlattice(grp, m) for m in mets]
+    expected = [lambda_search_min(lat, u) for u in us]
+
+    def forbidden(*args):
+        raise AssertionError("coset_min called")
+
+    monkeypatch.setattr(corrterm, "coset_min", forbidden)
+    for u, value in zip(us, expected):
+        assert _kernel_dim(lat, u) == 3
+        assert corrterm.constrained_min(lat, u) == value
 
 
 def _basis(u):

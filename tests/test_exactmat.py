@@ -542,9 +542,11 @@ def _shapes(rng):
 
 def _hnf_like(rng, n):
     """Upper triangular, positive pivots, mostly zero above them."""
-    h = exactmat.hnf([[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
-                      for _ in range(n)] + exactmat.scale(
-                          exactmat.identity(n), rng.choice((2, 3, 6))))
+    rows = [[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n)]
+            for _ in range(n)]
+    c = rng.choice((2, 3, 6))
+    h = exactmat.hnf(rows + [[c * (i == j) for j in range(n)]
+                             for i in range(n)])
     return h[:n]
 
 
