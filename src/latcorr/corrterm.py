@@ -6,14 +6,18 @@ fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
 `_reduce` splits the basis vectors of square 1 off the input basis, then
-LLL-reduces what is left and splits again until none remain, so that a
-lattice is written Zᵏ ⊕ R with the parts orthogonal and the search only
-sees R.  `min_char_square` runs it on a unimodular lattice, reads det G
-off its reductions, the one place unimodularity is decided, and maps the
-search's one witness back through the recorded stages.  `constrained_min`
-runs it on U(M), whose constraint set is 2^r classes of U/2U; a class
-costs its odd unit coordinates plus one search on R, and the classes are
-visited by that lower bound until it reaches the least square found.
+LLL-reduces what is left and splits again until none remain or what is
+left is even, so that a lattice is written Zᵏ ⊕ R with the parts
+orthogonal and the search only sees R.  `min_char_square` runs it on a
+unimodular lattice, reads det G off the last minor of its last
+factorization (an LLL, or the LDLᵀ of an even rest), the one place
+unimodularity is decided, and maps the search's one witness back through
+the recorded stages.  On an even R, 0 is characteristic and the least
+square, so nothing is searched (Elkies' step stops there).
+`constrained_min` runs it on U(M), whose constraint set is 2^r classes of
+U/2U, and reduces an even R itself; a class costs its odd unit
+coordinates plus one search on R, and the classes are visited by that
+lower bound until it reaches the least square found.
 Both work on integer Gram matrices and on integer basis rows over one
 denominator.
 """
@@ -135,20 +139,28 @@ def _integral_gram(obj):
     raise InputError(f"unsupported lattice object {type(obj).__name__}")
 
 
+def _is_even(gram):
+    """True iff every square of the integer lattice is even, which holds
+    iff every square of a basis, on the diagonal, is."""
+    return not any(row[i] & 1 for i, row in enumerate(gram))
+
+
 def _reduce(gram):
     """Split off the basis vectors of square 1 of a positive definite
     integer Gram matrix, LLL-reduce the rest and split again, until a
-    reduced basis has none.
+    reduced basis has none or the rest is even.
 
     Returns (stages, rest, det): the splits (units, rest, C) and the LLL
     transforms T, in order; the Gram matrix of what is left; and det G,
-    which neither a split nor a reduction changes (1 when all splits).
-    Each stage is a unimodular change of basis, so the lattice is Zᵏ ⊕ R
-    with the two parts orthogonal, k the number of units split off and R
-    the lattice of `rest`.
+    which neither a split nor a reduction changes (1 when all splits).  An
+    even rest has no vector of square 1, so the loop stops before reducing
+    it and det G is the last minor of its `exactmat.ldl`; otherwise it is
+    the last minor of the last `lll_gram`.  Each stage is a unimodular
+    change of basis, so the lattice is Zᵏ ⊕ R with the two parts
+    orthogonal, k the number of units split off and R the lattice of
+    `rest`.
     """
     stages = []
-    det = 1
     units = [i for i, row in enumerate(gram) if row[i] == 1]
     while True:
         if units:
@@ -162,13 +174,14 @@ def _reduce(gram):
             gram = [[gram[j][k] - sum(map(mul, cj, ck))
                      for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
             if not gram:
-                break
+                return stages, gram, 1
+        if _is_even(gram):
+            return stages, gram, exactmat.ldl(gram)[0][-1]
         t, gram, det = exactmat.lll_gram(gram)
         stages.append(t)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
-            break
-    return stages, gram, det
+            return stages, gram, det
 
 
 def min_char_square(obj):
@@ -177,18 +190,21 @@ def min_char_square(obj):
 
     Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
     characteristic minimum of Zv is 1, attained at v.  `_reduce` splits
-    and LLL-reduces until a reduced basis has no vector of square 1, and
-    only that rest goes to the branch and bound.  det G, read off the
-    reductions, decides unimodularity; when everything splits, U is Zⁿ.
-    The rest's witness is mapped back through the splits and reductions.
+    and LLL-reduces until a reduced basis has no vector of square 1 or the
+    rest is even.  An even rest has χ = 0 as a characteristic vector of
+    least square, so it adds 0 to the minimum and 0 to the witness without
+    a search; any other rest goes to the branch and bound.  det G, read
+    off the last minor of the last LLL or of the even rest's LDLᵀ, decides
+    unimodularity; when everything splits, U is Zⁿ.  The rest's witness is
+    mapped back through the splits and reductions.
     """
     gram, basis, denom, kind = _integral_gram(obj)
     stages, gram, det = _reduce(gram)
     if det != 1:
         raise InputError(f"correction term requires a unimodular {kind}")
     minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
-    v, nodes = [], 0
-    if gram:
+    v, nodes = [0] * len(gram), 0  # 0 is characteristic on an even rest
+    if not _is_even(gram):
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
         x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
@@ -261,11 +277,13 @@ def constrained_min(lat, u):
     an element of Λ = U ∩ 2L* ⊃ 2U, so the constraint set is the union of
     the 2^r classes c₀ + span(kernel) of U/2U, r the kernel's dimension
     over F₂, and each class's least square is a coset minimum of U's Gram
-    matrix.  `_reduce` writes U = Zᵏ ⊕ R with the parts orthogonal, so a
-    class costs 1 per odd unit coordinate plus its coset minimum on R: 0
-    for the zero class of R, at least 1 for any other.  The classes are
-    visited in increasing order of that lower bound, and the walk stops
-    once the bound reaches the least square found.
+    matrix.  `_reduce` writes U = Zᵏ ⊕ R with the parts orthogonal (an
+    even R, which it leaves unreduced, is LLL-reduced here before its
+    classes are searched), so a class costs 1 per odd unit coordinate plus
+    its coset minimum on R: 0 for the zero class of R, at least 1 for any
+    other.  The classes are visited in increasing order of that lower
+    bound, and the walk stops once the bound reaches the least square
+    found.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -285,6 +303,9 @@ def constrained_min(lat, u):
     denom = e * e // g
     stages, rest, _ = _reduce([[x // g for x in row]
                                for row in u.scaled_gram])
+    if rest and _is_even(rest):  # `_reduce` leaves an even rest unreduced
+        t, rest, _ = exactmat.lll_gram(rest)
+        stages.append(t)
     classes = _classes_mod2(stages, [c0] + kernel)
     cosets = classes[:1]  # c₀ + span(kernel), formed by XOR
     for ko, kr in classes[1:]:

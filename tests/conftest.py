@@ -45,6 +45,16 @@ def neg_one_a8_gram():
     return [[-x for x in row] for row in one_plus_a8_gram()]
 
 
+def d12_plus_gram():
+    """Gram of D12⁺ = D12 ∪ (D12 + s), s = (½)¹²: odd (s·s = 3) and
+    unimodular, with no vector of square 1, so d = −2.  Its basis is s,
+    e_i + e_12 for i = 2…11, and 2e_12, here in coordinates doubled."""
+    rows = [[1] * 12] + [[2 * (j == i) + 2 * (j == 11) for j in range(12)]
+                         for i in range(1, 12)]
+    return [[sum(x * y for x, y in zip(r, s)) // 4 for s in rows]
+            for r in rows]
+
+
 def d4_gram():
     return [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 

@@ -11,9 +11,9 @@ from latcorr.errors import InputError, NotInDualLattice
 from latcorr.overlattice import (_canonical, int_gram,
                                  overlattice as build_overlattice)
 
-from conftest import (basis_change, d4_gram, e8_gram, one_plus_a8_gram,
-                      neg_one_a8_gram, random_posdef_gram, random_unimodular,
-                      z_plus_e8_gram)
+from conftest import (basis_change, d4_gram, d12_plus_gram, e8_gram,
+                      one_plus_a8_gram, neg_one_a8_gram, random_posdef_gram,
+                      random_unimodular, z_plus_e8_gram)
 from duality import (constrained_min as lambda_search_min, is_characteristic,
                       mat_vec, pairing, project)
 
@@ -99,33 +99,30 @@ def test_min_char_square_on_standard_lattice_neither_reduces_nor_factors(
 
 
 def test_min_char_square_reduces_only_what_the_units_leave(monkeypatch):
-    # on E8 ⊕ I_k the unit basis vectors split off as they stand, and the
-    # first reduction sees E8 alone
-    real = exactmat.lll_gram
-    seen = []
+    # on E8 ⊕ I_k the unit basis vectors split off as they stand, and what
+    # they leave is E8, which is even, so nothing is reduced
+    def refuse(*args):
+        raise AssertionError("E8 ⊕ I_k needs no reduction")
 
-    def spy(gram):
-        seen.append(gram)
-        return real(gram)
-
-    monkeypatch.setattr(exactmat, "lll_gram", spy)
+    monkeypatch.setattr(exactmat, "lll_gram", refuse)
     for k in (1, 3):
-        seen.clear()
         res = corrterm.min_char_square(
             lattice_mod.make_lattice(_padded(e8_gram(), k)))
         assert res.minimum == k and res.d == -2
-        assert seen[0] == e8_gram()
+        assert res.witness == (0,) * 8 + (1,) * k
 
 
 def test_witness_is_characteristic(monkeypatch):
-    for gram in (exactmat.identity(3), e8_gram(), z_plus_e8_gram()):
+    for gram in (exactmat.identity(3), e8_gram(), z_plus_e8_gram(),
+                 d12_plus_gram()):
         lat = lattice_mod.make_lattice(gram)
         res = corrterm.min_char_square(lat)
         assert is_characteristic(lat, res.witness)
         assert pairing(lat, res.witness, res.witness) == res.minimum
-    # on seeded conjugates of E8 ⊕ I_k the input basis splits, the rest is
-    # reduced, split and reduced again, so the witness is mapped back
-    # through several stages
+    # on seeded conjugates of D12⁺ ⊕ I_k the input basis splits, the rest
+    # is reduced, split and reduced again, and D12⁺ is odd with no vector
+    # of square 1, so it is searched: the witness is mapped back from
+    # coset_min through several stages
     real = exactmat.lll_gram
     sizes = []  # per case, the sizes of the Gram matrices reduced
 
@@ -138,14 +135,80 @@ def test_witness_is_characteristic(monkeypatch):
     for k in range(6):
         for _ in range(3):
             lat = lattice_mod.make_lattice(basis_change(
-                _padded(e8_gram(), k), random_unimodular(rng, 8 + k, ops=24)))
+                _padded(d12_plus_gram(), k),
+                random_unimodular(rng, 12 + k, ops=24)))
             sizes.append([])
             res = corrterm.min_char_square(lat)
-            assert res.d == -2
+            assert res.d == -2 and res.nodes_visited > 0
             assert is_characteristic(lat, res.witness)
             assert pairing(lat, res.witness, res.witness) == res.minimum
     # a reduction of a smaller rest means a split ran between the two
     assert any(b < a for s in sizes for a, b in zip(s, s[1:]))
+
+
+def _is_even(gram):
+    return all(row[i] % 2 == 0 for i, row in enumerate(gram))
+
+
+def _even_rest_cases():
+    """(lattice or overlattice, minimum, witness, d) whose split-off rest
+    is even: E8, E8 ⊕ E8, seeded conjugates of E8 ⊕ I_k and the U(M) ≅
+    Z ⊕ E8 of ⟨1⟩ ⊕ A8.  The values are those the loop gave when it still
+    reduced and searched an even rest."""
+    make = lattice_mod.make_lattice
+    yield make(e8_gram()), 0, (0,) * 8, -2
+    yield make(_direct_sum(e8_gram(), e8_gram())), 0, (0,) * 16, -4
+    rng = random.Random(27)
+    witnesses = {1: (1, 0, 0, 0, 0, 0, 0, 0, -1),
+                 2: (0, 1, 0, 0, 0, 0, 0, -1, 1, 0),
+                 3: (0, 0, 2, -1, 0, 1, 0, 0, 0, 1, 1)}
+    for k, witness in witnesses.items():
+        yield (make(basis_change(_padded(e8_gram(), k),
+                                 random_unimodular(rng, 8 + k, ops=24))),
+               k, witness, -2)
+    grp = discgroup.disc_group(make(one_plus_a8_gram()))
+    [m] = discgroup.metabolizers_of_group(grp)
+    yield build_overlattice(grp, m), 1, (1,) + (0,) * 8, -2
+
+
+def test_an_even_rest_is_neither_reduced_nor_searched(monkeypatch):
+    # 0 is characteristic on an even lattice and its least square, so
+    # nothing runs on an even rest but the LDLᵀ that reads its determinant
+    cases = list(_even_rest_cases())
+    real_lll, real_ldl = exactmat.lll_gram, exactmat.ldl
+    reduced, factored = [], []
+
+    def lll(gram):
+        reduced.append(_is_even(gram))
+        return real_lll(gram)
+
+    def ldl(gram):
+        factored.append(_is_even(gram))
+        return real_ldl(gram)
+
+    def refuse(*args):
+        raise AssertionError("an even rest needs no search")
+
+    monkeypatch.setattr(exactmat, "lll_gram", lll)
+    monkeypatch.setattr(exactmat, "ldl", ldl)
+    monkeypatch.setattr(exactmat, "solve_mod2", refuse)
+    monkeypatch.setattr(corrterm, "coset_min", refuse)
+    for obj, minimum, witness, d in cases:
+        reduced.clear()
+        factored.clear()
+        res = corrterm.min_char_square(obj)
+        assert (res.minimum, res.witness, res.d) == (minimum, witness, d)
+        assert res.nodes_visited == 0
+        assert not any(reduced) and factored == [True]
+
+
+def test_an_even_rest_must_have_determinant_one():
+    a2 = [[2, -1], [-1, 2]]
+    for gram in ([[2]], a2, _padded(a2, 1), _direct_sum([[4]], e8_gram())):
+        with pytest.raises(InputError,
+                           match="^correction term requires a unimodular "
+                                 "lattice$"):
+            corrterm.min_char_square(lattice_mod.make_lattice(gram))
 
 
 def test_overlattice_witness_lies_in_overlattice_dual():
@@ -339,6 +402,35 @@ def test_constrained_min_matches_the_lambda_search_on_every_subgroup():
             pairs += 1
     assert pairs >= 300
     assert {0, 1, 2, 3} <= dims
+
+
+def test_constrained_min_reduces_an_even_rest_itself(rng, monkeypatch):
+    # G = Z/4 for ⟨4⟩ ⊕ E8, and U(M) ≅ Z ⊕ E8 for M of order 2, whose rest
+    # E8 `_reduce` leaves even and unreduced: constrained_min reduces it
+    # and walks the classes in that reduced basis as before
+    lats = [lattice_mod.make_lattice(g) for g in (
+        _direct_sum([[4]], e8_gram()),
+        basis_change(_direct_sum([[4]], e8_gram()),
+                     random_unimodular(rng, 9, ops=24)))]
+    real = exactmat.lll_gram
+    reduced = []
+
+    def spy(gram):
+        reduced.append(_is_even(gram))
+        return real(gram)
+
+    for lat in lats:
+        grp = discgroup.disc_group(lat)
+        subgroups = oracle.brute_subgroups(grp)
+        assert [m.order for m in subgroups] == [1, 2, 4]
+        us = [build_overlattice(grp, m) for m in subgroups]
+        assert corrterm.min_char_square(us[1]).d == -2
+        expected = [lambda_search_min(lat, u) for u in us]
+        monkeypatch.setattr(exactmat, "lll_gram", spy)
+        reduced.clear()
+        assert [corrterm.constrained_min(lat, u) for u in us] == expected
+        monkeypatch.setattr(exactmat, "lll_gram", real)
+        assert any(reduced)
 
 
 def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
