@@ -222,6 +222,8 @@ def min_char_square(obj):
             v = [sum(map(mul, v, col)) for col in zip(*stage)]
     if basis is not None:  # an overlattice's basis is H/e
         v = [sum(map(mul, v, col)) for col in zip(*basis)]
+    if minimum > len(v):  # Elkies: min χ² ≤ n, so d ≤ 0
+        raise InvariantViolation(f"min char square {minimum} > rank {len(v)}")
     return MinimizationResult(
         minimum=minimum, witness=tuple(Fraction(x, denom) for x in v),
         nodes_visited=nodes)

@@ -11,6 +11,7 @@ oracles use live in `oracle`.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import NotPositiveDefinite
 
@@ -137,7 +138,7 @@ class SmithDecomposition:
     v: tuple
 
 
-def snf(a):
+def snf(a, modulus=None):
     """Smith normal form by elementary row/column operations, tracking V
     alone: no caller reads U.
 
@@ -145,19 +146,38 @@ def snf(a):
     remaining block, so a ±1 ends the scan at the first one in row-major
     order; the divisibility chain is enforced by re-reducing whenever a
     remaining entry is not divisible by the current pivot.
+
+    Given a modulus M, the entries of D stay bounded: after each row and
+    column operation an entry above B = max(M², 2⁵¹²) in absolute value is
+    replaced by its symmetric residue mod M.  V is never folded.  A fold
+    adds a multiple of M, so the divisors read as gcd(d_tt, M) (M at every
+    position after the elimination stops on a zero block) are those of
+    Aℤⁿ + Mℤⁿ: gcd(s_i, M) for A's own s_i, so s_i when M is a multiple.
     """
     rows, cols = dims(a)
     d = copy_matrix(a)
     v = identity(cols)
+    big = None if modulus is None else max(modulus * modulus, 1 << 512)
+
+    def fold(x):  # the symmetric residue mod M of an entry above B
+        if -big <= x <= big:
+            return x
+        x %= modulus
+        return x - modulus if 2 * x > modulus else x
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        if big:
+            d[i] = list(map(fold, d[i]))
 
     def col_op(i, j, q):  # col i -= q * col j, skipping zeros of col j
         for m in (d, v):
             for row in m:
                 if row[j]:
                     row[i] -= q * row[j]
+        if big:
+            for row in d:
+                row[i] = fold(row[i])
 
     def swap_cols(i, j):
         for m in (d, v):
@@ -212,7 +232,10 @@ def snf(a):
         t += 1
 
     k = min(rows, cols)
-    return SmithDecomposition(divisors=tuple(d[i][i] for i in range(k)),
+    divisors = [d[i][i] for i in range(k)]
+    if big:
+        divisors = [gcd(x, modulus) for x in divisors]
+    return SmithDecomposition(divisors=tuple(divisors),
                               v=tuple(tuple(row) for row in v))
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import corrterm, discgroup, exactmat, lattice as lattice_mod
-from .errors import GroupMismatch, IncompleteTable, InputError
+from .errors import (GroupMismatch, IncompleteTable, InputError,
+                     InvariantViolation)
 
 EVEN_ORDER_CAVEAT = (
     "some group order is even, so spin^c structures are not in bijection "
@@ -24,7 +25,10 @@ EVEN_ORDER_CAVEAT = (
 @dataclass(frozen=True)
 class FillingPresentation:
     group: object              # disc group of the normalized lattice
-    negated: bool
+
+    @property
+    def negated(self):  # the input form was negative definite
+        return self.group.lattice.negated
 
     @property
     def boundary_pairing(self):
@@ -81,9 +85,10 @@ def _expect(value, kind, what):
 def _check_nondegenerate(grp):
     """Reject a pairing that is not a linking form, without enumerating G:
     with N the exponent, x ↦ λ(x, ·) has ∏ N/gcd(N, s_i) values over the
-    Smith divisors s_i of the integer form N·λ, and that must be |G|."""
+    Smith divisors s_i of the integer form N·λ, and that must be |G|.
+    Only gcd(N, s_i) is read, so the Smith form is taken modulo N."""
     n = grp.exponent
-    dec = exactmat.snf(grp.form)
+    dec = exactmat.snf(grp.form, modulus=n)
     if prod(n // gcd(n, s) for s in dec.divisors) != grp.order:
         raise InputError("d-table pairing is degenerate: not a linking form")
 
@@ -94,16 +99,11 @@ def load_dtable(path):
     for key in ("orders", "pairing", "d", "z2_homology_sphere"):
         if key not in obj:
             raise InputError(f"d-table file is missing the '{key}' key")
-    orders = tuple(_expect(d, int, "order")
-                   for d in _expect(obj["orders"], list, "orders"))
-    pairing = tuple(
-        tuple(discgroup.parse_rational(x) for x in _expect(row, list, "row"))
-        for row in _expect(obj["pairing"], list, "pairing"))
-    grp = discgroup.group_from_table(orders, pairing)
+    grp = discgroup.group_from_table(obj["orders"], obj["pairing"])
     _check_nondegenerate(grp)
     # each record is checked and parsed in one pass; a key is checked
     # against the orders, never against an enumeration of G
-    ranges = tuple(map(range, orders))
+    ranges = tuple(map(range, grp.orders))
     values = {}
     for rec in _expect(obj["d"], list, "'d'"):
         if type(rec) is not dict:
@@ -143,8 +143,7 @@ def linking_form_of_filling(q):
     view `boundary_pairing` is built only when read.
     """
     lat = lattice_mod.make_lattice(q)
-    return FillingPresentation(group=discgroup.disc_group(lat),
-                               negated=lat.negated)
+    return FillingPresentation(group=discgroup.disc_group(lat))
 
 
 def _orientation_note(negated):
@@ -204,11 +203,11 @@ def definite_filling_obstruction(table):
 
 
 def chain_check(q, table):
-    """Verify 0 ≥ d_{U(M)} ≥ constrained min ≥ min d(Y,t) per metabolizer.
-
-    A violated inequality means the d-table cannot belong to the boundary
-    of the given filling.  When some metabolizer has min d(Y,t) ≥ 0 and the
-    chain holds, the filling lattice embeds in the standard lattice.
+    """Judge constrained min ≥ min d(Y,t) per metabolizer; a violation
+    means the d-table cannot belong to the boundary of the given filling.
+    0 ≥ d_{U(M)} ≥ constrained min are theorems (Elkies; Char(U) ⊂
+    Char(L) ∩ U) and raise `InvariantViolation` if they fail.  When some
+    metabolizer has min d(Y,t) ≥ 0 and the chain holds, L embeds in Zⁿ.
 
     For odd |G| the middle inequality is an equality, and the constrained
     minimum is taken as d_{U(M)} without a search: [L* : U(M)] = |M| is
@@ -237,15 +236,14 @@ def chain_check(q, table):
             cmin = d_over  # the L-characteristic covectors in U(M) are U's
         else:
             cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
+            if d_over < cmin:  # Char(U) ⊂ Char(L) ∩ U
+                raise InvariantViolation(
+                    f"d_U(M) = {d_over} < constrained min {cmin}")
         tmin = min(values[e] for e in m.elements)
         failure = None
-        if d_over > 0:
-            failure = f"0 >= d_U(M) fails: d_U(M) = {d_over}"
-        elif d_over < cmin:
-            failure = f"d_U(M) >= constrained min fails: {d_over} < {cmin}"
-        elif cmin < tmin:
+        if cmin < tmin:
             failure = f"constrained min >= min d(Y,t) fails: {cmin} < {tmin}"
-        if failure is None and tmin >= 0:
+        elif tmin >= 0:
             embeds = True  # forces d_U(M) = 0 along the chain
         records.append(MetabolizerRecord(
             metabolizer=m, d_over=d_over, constrained=cmin, table_min=tmin,

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,36 @@ def random_posdef_gram(rng, max_rank=4, max_disc=36):
             disc *= d
         g = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         return basis_change(g, random_unimodular(rng, n, ops=4))
+
+
+def seeded_7_12_table():
+    """A d-table on (ℤ/7)¹² with one record and a symmetric pairing of
+    entries randrange(7)/7, drawn in row order for i ≤ j from Random(0).
+    The form has rank 11 over GF(7), so the pairing is degenerate; its
+    Smith form without a modulus runs past 8 s."""
+    rng, k = random.Random(0), 12
+    pairing = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            pairing[i][j] = pairing[j][i] = f"{rng.randrange(7)}/7"
+    return {"orders": [7] * k, "pairing": pairing,
+            "d": [{"elem": [0] * k, "value": "0"}],
+            "z2_homology_sphere": True}
+
+
+@contextlib.contextmanager
+def cpu_alarm(seconds):
+    """Fail the block with TimeoutError after `seconds` of CPU time."""
+    def expire(*args):
+        raise TimeoutError(f"took more than {seconds} s of CPU")
+
+    old = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ from latcorr import (cli, corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle, topo)
 from latcorr.errors import LatcorrError, SearchTooLarge
 
-from conftest import DATA_DIR, basis_change, random_unimodular
+from conftest import (DATA_DIR, basis_change, cpu_alarm, d12_plus_gram,
+                      random_unimodular, seeded_7_12_table)
 
 
 def run_cli(capsys, *argv):
@@ -803,6 +804,70 @@ def test_dtable_rejections_keep_their_error_lines(capsys, tmp_path, records,
     code, out, err = run_cli(capsys, "topo", "rb-obstruction",
                              "--dtable", str(p))
     assert (code, out, err) == (1, "", f"error: InputError: {message}\n")
+
+
+# Orders and pairing reach `discgroup.group_from_table` as read from the
+# file, and it alone checks their shape.
+_DTABLE_GROUP_SHAPES = [
+    ({"a": 9}, [["8/9"]]),             # orders an object
+    ([[3]], [["2/3"]]),                # a list among the orders
+    ([9], [{"a": "8/9"}]),             # a pairing row an object
+    ([9], [[["8/9"]]]),                # a pairing entry a list
+    ([9], [[None]]),                   # a pairing entry null
+    ([3, 3], [["1/3", "0"], ["0"]]),   # a ragged pairing
+]
+
+
+@pytest.mark.parametrize("orders, pairing", _DTABLE_GROUP_SHAPES,
+                         ids=["orders-object", "order-list", "row-object",
+                              "entry-list", "entry-null", "ragged"])
+def test_dtable_group_shapes_end_in_one_input_error(capsys, tmp_path, orders,
+                                                    pairing):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"orders": orders, "pairing": pairing,
+                             "d": [{"elem": [0], "value": "0"}],
+                             "z2_homology_sphere": True}))
+    code, out, err = run_cli(capsys, "topo", "rb-obstruction",
+                             "--dtable", str(p))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InputError: ") and err.count("\n") == 1
+
+
+def test_seeded_7_12_table_ends_in_one_error_line(capsys, tmp_path):
+    # the pairing's Smith form is taken modulo the exponent 7; unbounded,
+    # it ran past 8 s of CPU on this degenerate form of rank 11 over GF(7)
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps(seeded_7_12_table()))
+    with cpu_alarm(2):
+        code, out, err = run_cli(capsys, "topo", "rb-obstruction",
+                                 "--dtable", str(p))
+    assert (code, out, err) == (1, "", "error: InputError: d-table pairing "
+                                "is degenerate: not a linking form\n")
+
+
+def test_a_failed_chain_theorem_is_one_error_line(capsys, monkeypatch):
+    # d_U(M) ≥ constrained min is a theorem: its failure is a library
+    # fault, reported as an InvariantViolation, never as a verdict
+    monkeypatch.setattr(corrterm, "constrained_min",
+                        lambda lat, u: Fraction(1))
+    code, out, err = run_cli(capsys, "topo", "chain", "--filling",
+                             str(DATA_DIR / "four.json"),
+                             "--dtable", str(DATA_DIR / "l41.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvariantViolation: ") and \
+        err.count("\n") == 1
+
+
+def test_a_failed_elkies_bound_is_one_error_line(capsys, monkeypatch,
+                                                 tmp_path):
+    # min χ² ≤ n is checked where d is computed, so dinv is checked too
+    real = corrterm.coset_min
+    monkeypatch.setattr(corrterm, "coset_min",
+                        lambda a, x: (13,) + real(a, x)[1:])
+    p = tmp_path / "d12.json"
+    p.write_text(json.dumps({"gram": d12_plus_gram()}))
+    assert run_cli(capsys, "lattice", "dinv", str(p)) == (
+        1, "", "error: InvariantViolation: min char square 13 > rank 12\n")
 
 
 def test_dtable_accepted_forms_keep_their_values(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle)
-from latcorr.errors import InputError, NotInDualLattice
+from latcorr.errors import (InputError, InvariantViolation,
+                            NotInDualLattice)
 from latcorr.overlattice import (_canonical, int_gram,
                                  overlattice as build_overlattice)
 
@@ -110,6 +111,18 @@ def test_min_char_square_reduces_only_what_the_units_leave(monkeypatch):
             lattice_mod.make_lattice(_padded(e8_gram(), k)))
         assert res.minimum == k and res.d == -2
         assert res.witness == (0,) * 8 + (1,) * k
+
+
+def test_min_char_square_checks_elkies_bound(monkeypatch):
+    # min χ² ≤ n on every unimodular lattice (Elkies), so a minimum above
+    # the rank is a fault of the search, raised and never returned
+    lat = lattice_mod.make_lattice(d12_plus_gram())
+    assert corrterm.min_char_square(lat).minimum == 4
+    real = corrterm.coset_min
+    monkeypatch.setattr(corrterm, "coset_min",
+                        lambda a, x: (13,) + real(a, x)[1:])
+    with pytest.raises(InvariantViolation, match="13 > rank 12"):
+        corrterm.min_char_square(lat)
 
 
 def test_witness_is_characteristic(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 from latcorr import exactmat, oracle
 from latcorr.errors import NotPositiveDefinite
 
-from conftest import (a8_gram, basis_change, e8_gram, random_unimodular,
-                      textbook_matmul)
+from conftest import (a8_gram, basis_change, cpu_alarm, e8_gram,
+                      random_unimodular, textbook_matmul)
 from duality import snf as smith_reference
 
 
@@ -259,6 +259,80 @@ def test_snf_v_is_unimodular_and_g_v_d_inverse_is_unimodular():
                    for x, d in zip(row, dec.divisors))
         uinv = [[x // d for x, d in zip(row, dec.divisors)] for row in gv]
         assert abs(exactmat.det(uinv)) == 1
+
+
+def _random_table_form(rng, n, k):
+    """A random symmetric k×k integer form with entries in [0, n), as a
+    d-table pairing on (ℤ/n)ᵏ gives; many are degenerate."""
+    a = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            a[i][j] = a[j][i] = rng.randrange(n)
+    return a
+
+
+def _valuations_mod(a, p, e):
+    """Reference: the p-valuations of the Smith divisors of a over the
+    local ring ℤ/pᵉ, e standing for 0.  There an entry of least valuation
+    divides its row and its column, so one elimination per pivot does."""
+    n = p ** e
+    m = [[x % n for x in row] for row in a]
+
+    def val(x):
+        v = 0
+        while v < e and x % p ** (v + 1) == 0:
+            v += 1
+        return v
+
+    out = []
+    for t in range(len(m)):
+        v, i, j = min((val(m[i][j]), i, j) for i in range(t, len(m))
+                      for j in range(t, len(m)))
+        if v == e:
+            return out + [e] * (len(m) - t)
+        m[t], m[i] = m[i], m[t]
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        inv = pow(m[t][t] // p ** v, -1, n)
+        for i in range(t + 1, len(m)):
+            q = m[i][t] // p ** v * inv
+            m[i] = [(x - q * y) % n for x, y in zip(m[i], m[t])]
+        for j in range(t + 1, len(m)):
+            q = m[t][j] // p ** v * inv
+            for row in m:
+                row[j] = (row[j] - q * row[t]) % n
+        out.append(v)
+    return out
+
+
+def test_snf_modulus_reads_each_divisor_mod_m():
+    # given a modulus M, each divisor is gcd(d_t, M) of the unfolded one,
+    # and M after a zero block, so ∏ M/gcd(M, s_i) is unchanged
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(2, 27)
+        a = _random_table_form(rng, n, rng.randint(1, 5))
+        plain = exactmat.snf(a).divisors
+        assert exactmat.snf(a, modulus=n).divisors == tuple(
+            gcd(s, n) for s in plain)
+    assert exactmat.snf([[3, 0], [0, 0]], modulus=9).divisors == (3, 9)
+
+
+@pytest.mark.parametrize("p, e, k", [(7, 1, 8), (7, 1, 12), (7, 1, 16),
+                                     (2, 1, 24), (101, 1, 8), (101, 1, 12),
+                                     (3, 2, 10)])
+def test_snf_modulus_bounds_the_hard_table_forms(p, e, k):
+    # without a modulus the Smith form of such a form ran past 2 s on
+    # nearly every seed; folded it takes milliseconds, and its divisors
+    # mod pᵉ are those of the elimination over ℤ/pᵉ
+    rng = random.Random(k * p)
+    for _ in range(3):
+        a = _random_table_form(rng, p ** e, k)
+        with cpu_alarm(1):
+            dec = exactmat.snf(a, modulus=p ** e)
+        got = [next(v for v in range(e + 1) if s == p ** v)
+               for s in dec.divisors]
+        assert sorted(got) == sorted(_valuations_mod(a, p, e))
 
 
 def test_det_examples():

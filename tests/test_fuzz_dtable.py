@@ -11,10 +11,14 @@ database, so the test is deterministic.
 
 import itertools
 import json
-from math import gcd
+import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from latcorr import discgroup, topo
+from latcorr.errors import InputError
 
 from fuzzing import run_json
 
@@ -79,6 +83,48 @@ def test_any_dtable_ends_in_a_verdict_or_one_error_line(tmp_path_factory,
     path = tmp_path_factory.getbasetemp() / "fuzz_table.json"
     path.write_text(json.dumps(table))
     code, payload = run_json(["topo", command, "--dtable", str(path)])
+    if code != 1:
+        assert payload["verdict"] in (
+            "obstructed", "unobstructed", "inconclusive")
+
+
+def _degenerate(grp):
+    """Brute force: some nonzero element pairs to 0 with every generator."""
+    n = grp.exponent
+    return any(any(x) and all(sum(map(int.__mul__, x, col)) % n == 0
+                              for col in grp.form)
+               for x in grp.elements())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_pairings_are_judged_without_enumerating_g(tmp_path, seed):
+    # a symmetric pairing of random entries on a random p-group, keyed in
+    # full when |G| ≤ 64: degenerate exactly when brute force finds a
+    # nonzero element that pairs to 0 with everything, and otherwise read
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5, 7))
+    orders = sorted(p ** rng.randint(1, 2) for _ in range(rng.randint(1, 8)))
+    k = len(orders)
+    pairing = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            pairing[i][j] = pairing[j][i] = \
+                f"{rng.randrange(orders[i])}/{orders[i]}"
+    keys = (itertools.product(*map(range, orders)) if prod(orders) <= 64
+            else [(0,) * k])
+    table = {"orders": orders, "pairing": pairing,
+             "d": [{"elem": list(e), "value": "0"} for e in keys],
+             "z2_homology_sphere": p != 2}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    grp = discgroup.group_from_table(orders, pairing)
+    if prod(orders) <= 4096 and _degenerate(grp):
+        with pytest.raises(InputError, match="degenerate"):
+            topo.load_dtable(str(path))
+    elif prod(orders) <= 4096:
+        assert topo.load_dtable(str(path)).complete == (prod(orders) <= 64)
+    code, payload = run_json(["topo", "rb-obstruction", "--dtable",
+                              str(path)])
     if code != 1:
         assert payload["verdict"] in (
             "obstructed", "unobstructed", "inconclusive")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from latcorr import discgroup, topo
-from latcorr.errors import GroupMismatch, IncompleteTable, InputError
+from latcorr import corrterm, discgroup, topo
+from latcorr.errors import (GroupMismatch, IncompleteTable, InputError,
+                            InvariantViolation)
 
 from conftest import DATA_DIR, d4_gram
 
@@ -55,8 +56,9 @@ def test_load_dtable_validation(tmp_path):
 
 
 def test_dtable_group_is_built_once(tmp_path, monkeypatch):
-    # load_dtable keeps the group it validated, and both table-only
-    # obstructions search that group instead of rebuilding it
+    # load_dtable hands the orders and pairing as read to the one check in
+    # group_from_table, keeps that group, and both table-only obstructions
+    # search it instead of rebuilding it
     calls = []
     real = discgroup.group_from_table
 
@@ -69,7 +71,7 @@ def test_dtable_group_is_built_once(tmp_path, monkeypatch):
     assert table.group.form == ((8,),)
     topo.rb_correction_obstruction(table)
     topo.definite_filling_obstruction(table)
-    assert calls == [(9,)]
+    assert calls == [[9]]  # the orders as read from the file
 
 
 def test_linking_form_positive_filling():
@@ -167,6 +169,18 @@ def test_chain_check_violation(tmp_path):
     rec = rep.evidence[0]
     assert not rec.chain_holds
     assert rec.failure is not None
+
+
+def test_chain_check_raises_when_a_theorem_fails(monkeypatch):
+    # d_U(M) ≥ constrained min holds because Char(U) ⊂ Char(L) ∩ U, so a
+    # constrained minimum above d_U(M) is a library fault, not a verdict
+    table = topo.load_dtable(str(DATA_DIR / "l41.json"))
+    rep = topo.chain_check([[4]], table)
+    assert [r.d_over >= r.constrained for r in rep.evidence] == [True]
+    monkeypatch.setattr(corrterm, "constrained_min",
+                        lambda lat, u: Fraction(1))
+    with pytest.raises(InvariantViolation, match="< constrained min 1"):
+        topo.chain_check([[4]], table)
 
 
 def test_chain_check_group_mismatch(tmp_path):
