@@ -8,16 +8,16 @@ greedy coordinate rounding, so pruning decisions never need re-checking.
 `_reduce` splits the basis vectors of square 1 off the input basis, then
 LLL-reduces what is left and splits again until none remain or what is
 left is even, so that a lattice is written Zᵏ ⊕ R with the parts
-orthogonal and the search only sees R.  `min_char_square` runs it on a
-unimodular lattice, reads det G off the last minor of its last
-factorization (an LLL, or the LDLᵀ of an even rest), the one place
-unimodularity is decided, and maps the search's one witness back through
-the recorded stages.  On an even R, 0 is characteristic and the least
-square, so nothing is searched (Elkies' step stops there).
-`constrained_min` runs it on U(M), whose constraint set is 2^r classes of
-U/2U, and reduces an even R itself; a class costs its odd unit
-coordinates plus one search on R, and the classes are visited by that
-lower bound until it reaches the least square found.
+orthogonal and the search only sees R.  `min_char_square` decides
+unimodularity first, on the det G that `make_lattice` read off its LDLᵀ
+(or det L/[U:L]² for an overlattice), runs the loop, and maps the
+search's one witness back through the recorded stages.  On an even R, 0
+is characteristic and the least square, so nothing is searched or
+factored (Elkies' step stops there).  `constrained_min` runs the loop on
+U(M), whose constraint set is 2^r classes of U/2U, and reduces an even R
+itself; a class costs its odd unit coordinates plus one search on R,
+which is factored once for all its classes, and the classes are visited
+by that lower bound until it reaches the least square found.
 Both work on integer Gram matrices and on integer basis rows over one
 denominator.
 """
@@ -60,7 +60,22 @@ class DSet:
     contains_zero: bool
 
 
-def coset_min(a, x):
+def _factor(a):
+    """What `coset_min` needs of a positive definite integer A, from one
+    fraction-free `exactmat.ldl`: (scale, w, e, cols, minors).  A caller
+    that searches several classes of one A factors it once."""
+    n = len(a)
+    d, lam = exactmat.ldl(a)
+    scale = lcm(1, *(d[i] * d[i + 1] for i in range(n)))
+    # at level i, with C = 2·d_{i+1}·c the scaled centre offset, the
+    # scaled term is w[i]·(e[i]·u_i + C)²
+    w = [scale // (d[i] * d[i + 1]) for i in range(n)]
+    e = [2 * d[i + 1] for i in range(n)]
+    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    return scale, w, e, cols, d
+
+
+def coset_min(a, x, factored=None):
     """Exact min of vᵀ·A·v over the integer vectors v ≡ x (mod 2), with a
     minimizing v.
 
@@ -73,16 +88,11 @@ def coset_min(a, x):
     The search runs on integers only: A is factored by the fraction-free
     `exactmat.ldl`, and the form is scaled by lcm(d_i·d_{i+1}) so that
     centres, terms and the incumbent are all integers.  The value is
-    divided back once, on return.
+    divided back once, on return.  `factored`, when given, is `_factor(a)`,
+    and A is not factored again.
     """
     n = len(x)
-    d, lam = exactmat.ldl(a)
-    scale = lcm(1, *(d[i] * d[i + 1] for i in range(n)))
-    # at level i, with C = 2·d_{i+1}·c the scaled centre offset, the
-    # scaled term is w[i]·(e[i]·u_i + C)²
-    w = [scale // (d[i] * d[i + 1]) for i in range(n)]
-    e = [2 * d[i + 1] for i in range(n)]
-    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    scale, w, e, cols, d = factored or _factor(a)
     v = [0] * n  # v[j] = 2u_j + x_j for fixed levels
 
     def centre(i):
@@ -123,20 +133,27 @@ def coset_min(a, x):
     return best_val // scale, best_v, nodes
 
 
-def _integral_gram(obj):
-    """(int Gram, int basis rows H, denominator e, kind) for a positive
-    definite integral lattice or overlattice; its basis in L-coords is H/e.
-    H is None for a lattice, whose basis is its own.  Unimodularity is left
-    to `min_char_square`, which reads det G off its reductions."""
+def _unimodular_gram(obj):
+    """(int Gram, int basis rows H, denominator e) of a positive definite
+    unimodular lattice or overlattice; its basis in L-coords is H/e, and H
+    is None for a lattice, whose basis is its own.  Unimodularity is read
+    off the det that `make_lattice` and `overlattice` carry, so nothing is
+    factored or reduced to decide it; an overlattice must be integral too.
+    """
     if isinstance(obj, Lattice):
-        return obj.gram_rows(), None, 1, "lattice"
-    if isinstance(obj, OverLattice):
-        try:
-            return int_gram(obj), obj.rows, obj.denom, "overlattice"
-        except NotIntegral:
-            raise InputError(
-                "correction term requires a unimodular overlattice") from None
-    raise InputError(f"unsupported lattice object {type(obj).__name__}")
+        if obj.det == 1:
+            return obj.gram_rows(), None, 1
+        kind = "lattice"
+    elif isinstance(obj, OverLattice):
+        if obj.det == 1:
+            try:
+                return int_gram(obj), obj.rows, obj.denom
+            except NotIntegral:
+                pass
+        kind = "overlattice"
+    else:
+        raise InputError(f"unsupported lattice object {type(obj).__name__}")
+    raise InputError(f"correction term requires a unimodular {kind}")
 
 
 def _is_even(gram):
@@ -150,15 +167,12 @@ def _reduce(gram):
     integer Gram matrix, LLL-reduce the rest and split again, until a
     reduced basis has none or the rest is even.
 
-    Returns (stages, rest, det): the splits (units, rest, C) and the LLL
-    transforms T, in order; the Gram matrix of what is left; and det G,
-    which neither a split nor a reduction changes (1 when all splits).  An
-    even rest has no vector of square 1, so the loop stops before reducing
-    it and det G is the last minor of its `exactmat.ldl`; otherwise it is
-    the last minor of the last `lll_gram`.  Each stage is a unimodular
-    change of basis, so the lattice is Zᵏ ⊕ R with the two parts
-    orthogonal, k the number of units split off and R the lattice of
-    `rest`.
+    Returns (stages, rest): the splits (units, rest, C) and the LLL
+    transforms T, in order, and the Gram matrix of what is left.  An even
+    rest has no vector of square 1, so the loop stops there, neither
+    reduced nor factored.  Each stage is a unimodular change of basis, so
+    the lattice is Zᵏ ⊕ R with the two parts orthogonal, k the number of
+    units split off and R the lattice of `rest`.
     """
     stages = []
     units = [i for i, row in enumerate(gram) if row[i] == 1]
@@ -173,15 +187,13 @@ def _reduce(gram):
             stages.append((units, rest, c))
             gram = [[gram[j][k] - sum(map(mul, cj, ck))
                      for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
-            if not gram:
-                return stages, gram, 1
-        if _is_even(gram):
-            return stages, gram, exactmat.ldl(gram)[0][-1]
-        t, gram, det = exactmat.lll_gram(gram)
+        if _is_even(gram):  # also when nothing is left
+            return stages, gram
+        t, gram, _ = exactmat.lll_gram(gram)
         stages.append(t)
         units = [i for i, row in enumerate(gram) if row[i] == 1]
         if not units:
-            return stages, gram, det
+            return stages, gram
 
 
 def min_char_square(obj):
@@ -193,15 +205,13 @@ def min_char_square(obj):
     and LLL-reduces until a reduced basis has no vector of square 1 or the
     rest is even.  An even rest has χ = 0 as a characteristic vector of
     least square, so it adds 0 to the minimum and 0 to the witness without
-    a search; any other rest goes to the branch and bound.  det G, read
-    off the last minor of the last LLL or of the even rest's LDLᵀ, decides
-    unimodularity; when everything splits, U is Zⁿ.  The rest's witness is
-    mapped back through the splits and reductions.
+    a search; any other rest goes to the branch and bound.  Unimodularity
+    is decided first, on the det the lattice or overlattice carries;
+    when everything splits, U is Zⁿ.  The rest's witness is mapped back
+    through the splits and reductions.
     """
-    gram, basis, denom, kind = _integral_gram(obj)
-    stages, gram, det = _reduce(gram)
-    if det != 1:
-        raise InputError(f"correction term requires a unimodular {kind}")
+    gram, basis, denom = _unimodular_gram(obj)
+    stages, gram = _reduce(gram)
     minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
     v, nodes = [0] * len(gram), 0  # 0 is characteristic on an even rest
     if not _is_even(gram):
@@ -303,11 +313,11 @@ def constrained_min(lat, u):
     # U's Gram matrix is H·G_L·Hᵀ/e² = (H·G_L·Hᵀ/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in u.scaled_gram for x in row))
     denom = e * e // g
-    stages, rest, _ = _reduce([[x // g for x in row]
-                               for row in u.scaled_gram])
+    stages, rest = _reduce([[x // g for x in row] for row in u.scaled_gram])
     if rest and _is_even(rest):  # `_reduce` leaves an even rest unreduced
         t, rest, _ = exactmat.lll_gram(rest)
         stages.append(t)
+    factored = None  # R's LDLᵀ, made for the first class searched
     classes = _classes_mod2(stages, [c0] + kernel)
     cosets = classes[:1]  # c₀ + span(kernel), formed by XOR
     for ko, kr in classes[1:]:
@@ -319,6 +329,8 @@ def constrained_min(lat, u):
             break
         val = o.bit_count()
         if r:
-            val += coset_min(rest, [r >> j & 1 for j in range(len(rest))])[0]
+            factored = factored or _factor(rest)
+            val += coset_min(rest, [r >> j & 1 for j in range(len(rest))],
+                             factored)[0]
         best = val if best is None else min(best, val)
     return (Fraction(best, denom) - n) / 4

@@ -108,9 +108,11 @@ def disc_group(lat):
     Generators are the dual vectors gram⁻¹·U⁻¹·e_i = V·D⁻¹·e_i for the SNF
     decomposition U·gram·V = D, restricted to elementary divisors d_i > 1;
     with c_i the i-th column of V, the lift of g_i is (N/d_i)·c_i over N.
+    The Smith form is taken modulo M = det G, which `make_lattice` read off
+    its LDLᵀ and which every d_i divides, so its entries stay bounded.
     """
     gram = lat.gram_rows()
-    dec = exactmat.snf(gram)
+    dec = exactmat.snf(gram, modulus=lat.det)
     divisors = dec.divisors
     keep = [i for i, d in enumerate(divisors) if d > 1]
     orders = tuple(divisors[i] for i in keep)

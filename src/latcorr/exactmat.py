@@ -149,10 +149,12 @@ def snf(a, modulus=None):
 
     Given a modulus M, the entries of D stay bounded: after each row and
     column operation an entry above B = max(M², 2⁵¹²) in absolute value is
-    replaced by its symmetric residue mod M.  V is never folded.  A fold
-    adds a multiple of M, so the divisors read as gcd(d_tt, M) (M at every
-    position after the elimination stops on a zero block) are those of
-    Aℤⁿ + Mℤⁿ: gcd(s_i, M) for A's own s_i, so s_i when M is a multiple.
+    replaced by its symmetric residue mod M.  Only the entries an operation
+    changed are compared with B, a row at once by its largest |x|.  V is
+    never folded.  A fold adds a multiple of M, so the divisors read as
+    gcd(d_tt, M) (M at every position after the elimination stops on a
+    zero block) are those of Aℤⁿ + Mℤⁿ: gcd(s_i, M) for A's own s_i, so
+    s_i when M is a multiple.
     """
     rows, cols = dims(a)
     d = copy_matrix(a)
@@ -160,24 +162,23 @@ def snf(a, modulus=None):
     big = None if modulus is None else max(modulus * modulus, 1 << 512)
 
     def fold(x):  # the symmetric residue mod M of an entry above B
-        if -big <= x <= big:
-            return x
         x %= modulus
         return x - modulus if 2 * x > modulus else x
 
     def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        if big:
-            d[i] = list(map(fold, d[i]))
+        r = [x - q * y for x, y in zip(d[i], d[j])]
+        if big and max(map(abs, r)) > big:
+            r = [x if -big <= x <= big else fold(x) for x in r]
+        d[i] = r
 
     def col_op(i, j, q):  # col i -= q * col j, skipping zeros of col j
-        for m in (d, v):
-            for row in m:
-                if row[j]:
-                    row[i] -= q * row[j]
-        if big:
-            for row in d:
-                row[i] = fold(row[i])
+        for row in d:
+            if row[j]:
+                x = row[i] - q * row[j]
+                row[i] = fold(x) if big and not -big <= x <= big else x
+        for row in v:
+            if row[j]:
+                row[i] -= q * row[j]
 
     def swap_cols(i, j):
         for m in (d, v):
@@ -335,14 +336,6 @@ def lll_gram(gram):
             red(k, l)
         k += 1
     return t, g, d[n]
-
-
-def is_positive_definite(g):
-    try:
-        ldl(g)
-        return True
-    except NotPositiveDefinite:
-        return False
 
 
 def solve_mod2(a, b):

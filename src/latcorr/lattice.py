@@ -2,14 +2,18 @@
 
 A lattice is stored through its Gram matrix in a fixed basis.  Negative
 definite input is negated on construction and the flip recorded, so all
-downstream computation runs on positive definite forms.
+downstream computation runs on positive definite forms.  The one LDLᵀ that
+decides definiteness also gives det G, its last leading minor, which the
+lattice keeps: unimodularity and the Smith form's modulus are read off it,
+and no later stage factors the Gram matrix again to find it.
 """
 
 import json
 from dataclasses import dataclass
 
 from . import exactmat
-from .errors import IndefiniteForm, InputError, SingularForm
+from .errors import (IndefiniteForm, InputError, NotPositiveDefinite,
+                     SingularForm)
 
 
 @dataclass(frozen=True)
@@ -17,10 +21,12 @@ class Lattice:
     """A positive definite integral lattice.
 
     gram is the (possibly negated) positive definite Gram matrix; negated
-    records whether the input form was negative definite.
+    records whether the input form was negative definite; det is the
+    determinant of gram, so positive, and |det| of the input form.
     """
 
     gram: tuple
+    det: int
     negated: bool = False
 
     @property
@@ -41,18 +47,22 @@ def make_lattice(gram):
         raise InputError("Gram matrix must be square and nonempty")
     if not all(type(x) is int for row in gram for x in row):  # bool is no int
         raise InputError("Gram matrix entries must be integers")
-    if not exactmat.is_symmetric(gram):
-        raise InputError("Gram matrix must be symmetric")
     # a definite form has the sign of its first diagonal entry; the signed
-    # form is positive definite iff its leading minors are positive
+    # form is positive definite iff its leading minors are positive, and
+    # the last of them is its determinant; ldl checks symmetry first
     sign = -1 if gram[0][0] < 0 else 1
     signed = [[sign * x for x in row] for row in gram]
-    if exactmat.is_positive_definite(signed):
-        return Lattice(gram=tuple(tuple(row) for row in signed),
-                       negated=sign < 0)
-    if exactmat.det(gram) == 0:
-        raise SingularForm("Gram matrix is singular")
-    raise IndefiniteForm("form is neither positive nor negative definite")
+    try:
+        minors, _ = exactmat.ldl(signed)
+    except ValueError:
+        raise InputError("Gram matrix must be symmetric") from None
+    except NotPositiveDefinite:
+        if exactmat.det(gram) == 0:
+            raise SingularForm("Gram matrix is singular") from None
+        raise IndefiniteForm(
+            "form is neither positive nor negative definite") from None
+    return Lattice(gram=tuple(tuple(row) for row in signed), det=minors[-1],
+                   negated=sign < 0)
 
 
 def read_json(path, what):

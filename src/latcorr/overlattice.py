@@ -5,10 +5,13 @@ the coordinates of the base lattice, with denom the exponent of L'/L, so
 overlattice values compare by equality.
 Construction never fails: integrality is a queried property, which makes
 the failing direction of the metabolizer/unimodular-overlattice
-correspondence testable; `corrterm.min_char_square` decides unimodularity.
+correspondence testable.  det L' = det L/[L' : L]² comes from the base
+lattice's det, so `corrterm.min_char_square` decides unimodularity without
+factoring the Gram matrix of L'.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, prod
 
 from . import exactmat
@@ -21,6 +24,7 @@ class OverLattice:
     denom: int          # exponent of L'/L: the least e with e·L' ⊂ L
     scaled_gram: tuple  # n×n ints H·G_L·Hᵀ = denom²·gram(L')
     index: int          # [L' : L]
+    det: Fraction       # det gram(L') = det L/[L' : L]²
 
 
 def _canonical(lat, rows, denom):
@@ -41,7 +45,7 @@ def _canonical(lat, rows, denom):
     gram = exactmat.gram_of_rows(h, lat.gram_rows())
     return OverLattice(rows=tuple(map(tuple, h)), denom=denom,
                        scaled_gram=tuple(map(tuple, gram)),
-                       index=index)
+                       index=index, det=Fraction(lat.det, index * index))
 
 
 def overlattice(grp, m):

@@ -116,6 +116,41 @@ def random_posdef_gram(rng, max_rank=4, max_disc=36):
         return basis_change(g, random_unimodular(rng, n, ops=4))
 
 
+# ROADMAP item 1's reproductions: without a modulus, the Smith form of
+# each ran until killed (`lattice info` past 8 s on the first, `lattice
+# dset` past 10 s on the second)
+DET_36_GRAM = [[1015, -994, 546, -557, -1050, -583],
+               [-994, 976, -537, 545, 1029, 572],
+               [546, -537, 297, -299, -567, -315],
+               [-557, 545, -299, 307, 575, 321],
+               [-1050, 1029, -567, 575, 1089, 603],
+               [-583, 572, -315, 321, 603, 337]]
+# a filling of det 225: I₄ ⊕ diag(15, 15) after 24 row operations
+DET_225_GRAM = [[21, 3, 19, -36, 20, -18], [3, 3, 2, -2, 3, -1],
+                [19, 2, 18, -34, 18, -17], [-36, -2, -34, 83, -34, 49],
+                [20, 3, 18, -34, 20, -17], [-18, -1, -17, 49, -17, 32]]
+
+
+def index_k_sublattices(count=60, ranks=(6, 7, 8), seed=0):
+    """Seeded pairs (A·B·Aᵀ, B) for index-k sublattices of B: B is Iₙ, or
+    E8 at rank 8, and A = U·diag(1, …, 1, k)·W with 2 ≤ k ≤ 30 and U, W
+    products of 4n elementary operations.  Without a modulus the Smith
+    form ran past 1 s on 24 of the 60 at ranks 6–8."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        n = rng.choice(ranks)
+        b = e8_gram() if n == 8 and rng.random() < 0.5 else \
+            exactmat.identity(n)
+        k = rng.randint(2, 30)
+        a = exactmat.matmul(random_unimodular(rng, n, ops=4 * n),
+                            exactmat.identity(n)[:-1] +
+                            [[0] * (n - 1) + [k]])
+        a = exactmat.matmul(a, random_unimodular(rng, n, ops=4 * n))
+        pairs.append((basis_change(b, a), b))
+    return pairs
+
+
 def seeded_7_12_table():
     """A d-table on (ℤ/7)¹² with one record and a symmetric pairing of
     entries randrange(7)/7, drawn in row order for i ≤ j from Random(0).

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -17,8 +18,9 @@ from latcorr import (cli, corrterm, discgroup, exactmat, lattice as lattice_mod,
                      oracle, topo)
 from latcorr.errors import LatcorrError, SearchTooLarge
 
-from conftest import (DATA_DIR, basis_change, cpu_alarm, d12_plus_gram,
-                      random_unimodular, seeded_7_12_table)
+from conftest import (DATA_DIR, DET_225_GRAM, DET_36_GRAM, basis_change,
+                      cpu_alarm, d12_plus_gram, e8_gram, random_unimodular,
+                      seeded_7_12_table)
 
 
 def run_cli(capsys, *argv):
@@ -97,8 +99,8 @@ def test_dinv_requires_unimodular(capsys, tmp_path):
                              str(DATA_DIR / "nine.json"))
     assert code == 1
     assert err.startswith("error: InputError:")
-    # unit basis vectors are split off before unimodularity is read off the
-    # first reduction; the rest still carries the determinant
+    # unimodularity is read off the det make_lattice carries, before any
+    # unit basis vector is split off, so forms with units are refused alike
     rng = random.Random(18)
     i2_a2 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
     for gram in ([[1, 0, 0], [0, 1, 0], [0, 0, 3]],
@@ -109,6 +111,61 @@ def test_dinv_requires_unimodular(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err == ("error: InputError: correction term requires a "
                        "unimodular lattice\n")
+
+
+def test_dinv_factors_the_lattice_once(capsys, tmp_path, monkeypatch):
+    # det G comes from make_lattice's LDLᵀ, the one factorization of the
+    # form: E8 ⊕ E8 is even, so min_char_square reduces, searches and
+    # factors nothing after it
+    from test_corrterm import _direct_sum
+    gram = basis_change(_direct_sum(e8_gram(), e8_gram()),
+                        random_unimodular(random.Random(16), 16, ops=64))
+    p = tmp_path / "e8e8.json"
+    p.write_text(json.dumps({"gram": gram}))
+    real, callers = exactmat.ldl, []
+
+    def ldl(g):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(g)
+
+    monkeypatch.setattr(exactmat, "ldl", ldl)
+    code, payload = run_json(capsys, "lattice", "dinv", str(p))
+    assert (code, payload["min_char_square"], payload["d"]) == (0, 0, "-4")
+    assert callers == ["make_lattice"]
+
+
+@pytest.mark.parametrize("gram, orders", [(DET_36_GRAM, [36]),
+                                          (DET_225_GRAM, [15, 15])],
+                         ids=["det-36", "det-225"])
+def test_smith_form_of_a_lattice_is_bounded(capsys, tmp_path, gram, orders):
+    # ROADMAP item 1's lattices: the Smith form modulo det G ends at once;
+    # without the modulus `lattice info` and `dset` ran until killed
+    p = tmp_path / "lattice.json"
+    p.write_text(json.dumps({"gram": gram}))
+    with cpu_alarm(2):
+        code, info = run_json(capsys, "lattice", "info", str(p))
+        assert (code, info["disc"], info["orders"]) == (0, prod(orders),
+                                                        orders)
+        code, dset = run_json(capsys, "lattice", "dset", str(p))
+        assert code == 0
+        code, embed = run_json(capsys, "lattice", "embed-check", str(p))
+    # the det-36 lattice is an index-6 sublattice of Z⁶; the det-225
+    # filling's form on (ℤ/15)² has no metabolizer
+    embeds = len(orders) == 1
+    assert dset["contains_zero"] == embed["embeds"] == embeds
+    assert bool(dset["entries"]) == embeds
+    assert code == (0 if embeds else 2)
+
+
+def test_det_225_filling_has_no_metabolizer_by_the_oracle(capsys, tmp_path):
+    p = tmp_path / "filling.json"
+    p.write_text(json.dumps({"gram": DET_225_GRAM}))
+    with cpu_alarm(10):
+        code, payload = run_json(capsys, "lattice", "dset", str(p),
+                                 "--oracle")
+    assert code == 0
+    assert payload["entries"] == [] and not payload["contains_zero"]
+    assert payload["notes"] == ["oracle: metabolizers agree"]
 
 
 def test_topo_linking_form(capsys):

@@ -186,33 +186,29 @@ def _even_rest_cases():
 
 def test_an_even_rest_is_neither_reduced_nor_searched(monkeypatch):
     # 0 is characteristic on an even lattice and its least square, so
-    # nothing runs on an even rest but the LDLᵀ that reads its determinant
+    # nothing runs on an even rest: not even an LDLᵀ, since the
+    # determinant comes with the lattice or overlattice
     cases = list(_even_rest_cases())
-    real_lll, real_ldl = exactmat.lll_gram, exactmat.ldl
-    reduced, factored = [], []
+    real_lll = exactmat.lll_gram
+    reduced = []
 
     def lll(gram):
         reduced.append(_is_even(gram))
         return real_lll(gram)
 
-    def ldl(gram):
-        factored.append(_is_even(gram))
-        return real_ldl(gram)
-
     def refuse(*args):
-        raise AssertionError("an even rest needs no search")
+        raise AssertionError("an even rest needs no search or factoring")
 
     monkeypatch.setattr(exactmat, "lll_gram", lll)
-    monkeypatch.setattr(exactmat, "ldl", ldl)
+    monkeypatch.setattr(exactmat, "ldl", refuse)
     monkeypatch.setattr(exactmat, "solve_mod2", refuse)
     monkeypatch.setattr(corrterm, "coset_min", refuse)
     for obj, minimum, witness, d in cases:
         reduced.clear()
-        factored.clear()
         res = corrterm.min_char_square(obj)
         assert (res.minimum, res.witness, res.d) == (minimum, witness, d)
         assert res.nodes_visited == 0
-        assert not any(reduced) and factored == [True]
+        assert not any(reduced)
 
 
 def test_an_even_rest_must_have_determinant_one():
@@ -222,6 +218,40 @@ def test_an_even_rest_must_have_determinant_one():
                            match="^correction term requires a unimodular "
                                  "lattice$"):
             corrterm.min_char_square(lattice_mod.make_lattice(gram))
+
+
+def test_unimodularity_is_decided_before_any_factorization(monkeypatch):
+    # det comes with the lattice (make_lattice's LDLᵀ) or the overlattice
+    # (det L/[U:L]²), so a form of det ≠ 1 or a U that is not integral is
+    # refused before anything is reduced, factored or searched, with the
+    # same error line as when the det was read off a reduction
+    a2 = [[2, -1], [-1, 2]]
+    make = lattice_mod.make_lattice
+    lattices = [make(g) for g in (
+        [[2]], [[9]], a2, _padded(a2, 1), _direct_sum([[4]], e8_gram()),
+        _diag(1, 1, 3), basis_change(_diag(1, 2, 1, 5),
+                                     random_unimodular(random.Random(3), 4)))]
+    overlattices = []
+    for gram in ([[36]], _diag(2, 2, 2, 2), one_plus_a8_gram(), a2):
+        grp = discgroup.disc_group(make(gram))
+        mets = discgroup.metabolizers_of_group(grp)
+        overlattices += [build_overlattice(grp, m)
+                         for m in oracle.brute_subgroups(grp)
+                         if m not in mets]
+    # some have det 1 and are refused only because they are not integral
+    assert len(overlattices) >= 20 and any(u.det == 1 for u in overlattices)
+
+    def refuse(*args):
+        raise AssertionError("unimodularity needs no factorization")
+
+    for name in ("lll_gram", "ldl", "solve_mod2"):
+        monkeypatch.setattr(exactmat, name, refuse)
+    monkeypatch.setattr(corrterm, "coset_min", refuse)
+    for objs, kind in ((lattices, "lattice"), (overlattices, "overlattice")):
+        for obj in objs:
+            with pytest.raises(InputError, match="^correction term requires "
+                                                 f"a unimodular {kind}$"):
+                corrterm.min_char_square(obj)
 
 
 def test_overlattice_witness_lies_in_overlattice_dual():
@@ -417,6 +447,39 @@ def test_constrained_min_matches_the_lambda_search_on_every_subgroup():
     assert {0, 1, 2, 3} <= dims
 
 
+def test_constrained_min_factors_the_rest_once(monkeypatch):
+    # every class of R searched shares one LDLᵀ of R, with the values of
+    # the reference search, on every subgroup of seeded lattices of rank
+    # up to 6
+    rng = random.Random(7)
+    real_ldl, real_coset_min = exactmat.ldl, corrterm.coset_min
+    calls = {"ldl": 0, "coset_min": 0}
+
+    def ldl(a):
+        calls["ldl"] += 1
+        return real_ldl(a)
+
+    def coset_min(*args):
+        calls["coset_min"] += 1
+        return real_coset_min(*args)
+
+    monkeypatch.setattr(exactmat, "ldl", ldl)
+    monkeypatch.setattr(corrterm, "coset_min", coset_min)
+    shared = 0
+    for _ in range(30):
+        lat = lattice_mod.make_lattice(
+            random_posdef_gram(rng, max_rank=6, max_disc=64))
+        grp = discgroup.disc_group(lat)
+        for m in oracle.brute_subgroups(grp):
+            u = build_overlattice(grp, m)
+            expected = lambda_search_min(lat, u)
+            calls.update(ldl=0, coset_min=0)
+            assert corrterm.constrained_min(lat, u) == expected
+            assert calls["ldl"] == (calls["coset_min"] > 0)
+            shared += calls["coset_min"] > 1
+    assert shared >= 10
+
+
 def test_constrained_min_reduces_an_even_rest_itself(rng, monkeypatch):
     # G = Z/4 for ⟨4⟩ ⊕ E8, and U(M) ≅ Z ⊕ E8 for M of order 2, whose rest
     # E8 `_reduce` leaves even and unreduced: constrained_min reduces it
@@ -461,8 +524,8 @@ def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
         for m in discgroup.metabolizers_of_group(grp):
             u = build_overlattice(grp, m)
             a = int_gram(u)
-            stages, rest, det = corrterm._reduce(a)
-            assert det == 1
+            assert u.det == 1  # det L/[U:L]², carried from make_lattice
+            stages, rest = corrterm._reduce(a)
             x, _ = exactmat.solve_mod2(a, [a[i][i] for i in range(len(a))])
             [(odd, bits)] = corrterm._classes_mod2(stages, [x])
             units = sum(len(s[0]) for s in stages if type(s) is tuple)

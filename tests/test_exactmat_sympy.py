@@ -4,6 +4,9 @@ LLL; skipped when sympy is not installed."""
 import pytest
 
 from latcorr import exactmat
+from latcorr.lattice import make_lattice
+
+from conftest import cpu_alarm, index_k_sublattices
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import (hermite_normal_form,  # noqa: E402
@@ -25,6 +28,17 @@ def test_snf_divisors_match_sympy(rng):
         s = smith_normal_form(sympy.Matrix(a), domain=sympy.ZZ)
         expect = [abs(int(s[i, i])) for i in range(min(s.shape))]
         assert list(exactmat.snf(a).divisors) == expect, a
+
+
+def test_snf_modulo_det_matches_sympy_on_index_k_sublattices():
+    # the family on which the Smith form without a modulus ran past 3 s:
+    # modulo det G, taken from make_lattice, the divisors are sympy's
+    for gram, _ in index_k_sublattices():
+        lat = make_lattice(gram)
+        with cpu_alarm(1):
+            divisors = exactmat.snf(gram, modulus=lat.det).divisors
+        s = smith_normal_form(sympy.Matrix(gram), domain=sympy.ZZ)
+        assert list(divisors) == [abs(int(s[i, i])) for i in range(len(gram))]
 
 
 def test_hnf_matches_sympy(rng):

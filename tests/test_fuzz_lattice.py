@@ -20,9 +20,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcorr import topo
+from latcorr import exactmat, topo
+from latcorr.lattice import make_lattice
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, cpu_alarm, index_k_sublattices
 from fuzzing import run_json
 
 DIAG = (1, 1, 1, 2, 3, 4, 5, 9)
@@ -129,3 +130,29 @@ def test_any_chain_input_ends_in_a_verdict_or_one_error_line(
                               "--dtable", str(table)])
     if code != 1:
         assert payload["verdict"] in ("obstructed", "unobstructed")
+
+
+def test_index_k_sublattices_have_a_bounded_smith_form(tmp_path):
+    # seeded index-k sublattices A·B·Aᵀ of Iₙ and E8 at ranks 6–8, on 24
+    # of which the Smith form without a modulus ran past 1 s: modulo det G
+    # it ends at once, V is unimodular, each column cᵢ of V is a dual
+    # vector times dᵢ (G·cᵢ ≡ 0 mod dᵢ), and `lattice info` and `dset`
+    # end in a result; a sublattice of Iₙ embeds
+    path = tmp_path / "sublattice.json"
+    for gram, base in index_k_sublattices():
+        lat = make_lattice(gram)
+        with cpu_alarm(1):
+            dec = exactmat.snf(gram, modulus=lat.det)
+        v = [list(row) for row in dec.v]
+        assert abs(exactmat.det(v)) == 1
+        assert prod(dec.divisors) == lat.det
+        gv = exactmat.matmul(gram, v)
+        for i, d in enumerate(dec.divisors):
+            assert all(row[i] % d == 0 for row in gv)
+        path.write_text(json.dumps({"gram": gram}))
+        with cpu_alarm(2):
+            for command in ("info", "dset"):
+                code, payload = run_json(["lattice", command, str(path)])
+                assert code == 0
+        if base == exactmat.identity(lat.rank):
+            assert payload["contains_zero"]

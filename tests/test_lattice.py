@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from latcorr import exactmat, lattice as lattice_mod, oracle
 from latcorr.errors import IndefiniteForm, InputError, SingularForm
 
-from conftest import neg_one_a8_gram
+from conftest import neg_one_a8_gram, random_posdef_gram
 from duality import discriminant
 
 
@@ -62,6 +63,21 @@ def test_make_lattice_factors_once(monkeypatch, gram):
         monkeypatch.setattr(module, name, counting)
     lattice_mod.make_lattice(gram)
     assert calls == {"ldl": 1, "rational_cholesky": 0, "det": 0}
+
+
+def test_lattice_det_is_the_bareiss_det_of_the_signed_form():
+    # make_lattice keeps the last minor of its one LDLᵀ: det of the
+    # positive definite signed form, on seeded definite forms of both signs
+    rng = random.Random(29)
+    for _ in range(200):
+        gram = random_posdef_gram(rng, max_rank=6, max_disc=400)
+        for sign in (1, -1):
+            signed = [[sign * x for x in row] for row in gram]
+            lat = lattice_mod.make_lattice(signed)
+            assert lat.negated == (sign < 0)
+            assert lat.det == exactmat.det(lat.gram_rows()) == \
+                abs(exactmat.det(signed)) > 0
+    assert lattice_mod.make_lattice(neg_one_a8_gram()).det == 9
 
 
 def test_load_lattice(tmp_path):

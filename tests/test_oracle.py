@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,8 +11,10 @@ from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod, oracl
 from latcorr.errors import (InvariantViolation, NotPositiveDefinite,
                             SearchTooLarge, SingularMatrix)
 
-from conftest import (a8_gram, basis_change, e8_gram, random_posdef_gram,
+from conftest import (a8_gram, basis_change, cpu_alarm, e8_gram,
+                      index_k_sublattices, random_posdef_gram,
                       random_unimodular)
+from fuzzing import run_json
 
 
 def test_inverse_examples():
@@ -93,6 +96,51 @@ def test_brute_embed_caps():
     big = exactmat.identity(9)
     with pytest.raises(SearchTooLarge):
         oracle.brute_embed(lattice_mod.make_lattice(big))
+
+
+def _past_the_caps(gram):
+    return max(row[i] for i, row in enumerate(gram)) > oracle.EMBED_DIAG_CAP
+
+
+def _rank_7_cases():
+    """Seeded definite forms of rank 5–7 past the brute-embed caps: index-k
+    sublattices of Iₙ, and conjugates of diagonal forms whose discriminant
+    forms are metabolic or not (|G| a square or not)."""
+    cases = [gram for gram, _ in index_k_sublattices(
+        count=30, ranks=(5, 6, 7), seed=4) if _past_the_caps(gram)]
+    rng = random.Random(4)
+    for diag in ((2, 2), (3, 3), (2, 8), (4, 9), (5, 5), (3, 12), (6, 6),
+                 (2, 3), (7,), (2, 2, 2, 2), (3, 3, 3), (5, 20)):
+        n = rng.randint(max(5, len(diag)), 7)
+        d = [1] * (n - len(diag)) + list(diag)
+        gram = [[x if i == j else 0 for j in range(n)]
+                for i, x in enumerate(d)]
+        while not _past_the_caps(gram):
+            gram = basis_change(gram, random_unimodular(rng, n, ops=4 * n))
+        cases.append(gram)
+    return cases
+
+
+def test_every_d_at_rank_at_most_7_is_zero(tmp_path):
+    # a positive definite unimodular lattice of rank ≤ 7 is Zⁿ, so every
+    # d_{U(M)} is 0 and a lattice embeds exactly when its discriminant
+    # form has a metabolizer; checked past the brute-embed caps, where
+    # --oracle cannot confirm embedding
+    path = tmp_path / "lattice.json"
+    cases, embeds = _rank_7_cases(), 0
+    for gram in cases:
+        lat = lattice_mod.make_lattice(gram)
+        with cpu_alarm(2):
+            grp = discgroup.disc_group(lat)
+            mets = discgroup.metabolizers_of_group(grp)
+            ds = corrterm.d_set(grp)
+            path.write_text(json.dumps({"gram": gram}))
+            code, payload = run_json(["lattice", "embed-check", str(path)])
+        assert [e.metabolizer for e in ds.entries] == mets
+        assert all(e.result.d == 0 for e in ds.entries)
+        assert payload["embeds"] == bool(mets) and code == (0 if mets else 2)
+        embeds += bool(mets)
+    assert len(cases) >= 30 and 15 <= embeds < len(cases)
 
 
 def test_brute_char_min_agrees_with_optimized(rng):

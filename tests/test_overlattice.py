@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -153,7 +154,8 @@ def seeded_overlattices():
 
 def test_canonical_form_ignores_a_common_factor(seeded_overlattices):
     # the rows over their denominator name the lattice, not the scale: k·H
-    # over k·denom gives the same value, and every field is a plain int
+    # over k·denom gives the same value, and every field but det is a
+    # plain int
     for lat, _, _, u in seeded_overlattices:
         assert type(u.denom) is type(u.index) is int
         assert all(type(x) is int for m in (u.rows, u.scaled_gram)
@@ -163,6 +165,15 @@ def test_canonical_form_ignores_a_common_factor(seeded_overlattices):
             assert _canonical(lat, scaled, k * u.denom) == \
                 _canonical(lat, u.rows, u.denom) == u
     assert len(seeded_overlattices) >= 200
+
+
+def test_overlattice_det_is_det_l_over_the_index_squared(seeded_overlattices):
+    # det U = det L/[U : L]², from the det make_lattice read off its LDLᵀ;
+    # the Bareiss det of U's Gram matrix H·G_L·Hᵀ/e² is the reference
+    for lat, _, _, u in seeded_overlattices:
+        assert u.det * u.index ** 2 == lat.det
+        assert u.det == Fraction(exactmat.det([list(r) for r in u.scaled_gram]),
+                                 u.denom ** (2 * lat.rank))
 
 
 def test_dual_of_overlattice_is_overlattice_of_annihilator(
