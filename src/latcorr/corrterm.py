@@ -5,24 +5,26 @@ positive definite integer A, by depth-first branch and bound over the
 fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
-`_reduce` splits the basis vectors of square 1 off the input basis, then
-LLL-reduces what is left and splits again until none remain or what is
-left is even, so that a lattice is written Zᵏ ⊕ R with the parts
-orthogonal and the search only sees R.  `min_char_square` decides
-unimodularity first, on the det G that `make_lattice` read off its LDLᵀ
-(or det L/[U:L]² for an overlattice), runs the loop, and maps the
-search's one witness back through the recorded stages.  On an even R, 0
-is characteristic and the least square, so nothing is searched or
-factored (Elkies' step stops there).  `constrained_min` runs the loop on
-U(M), whose constraint set is 2^r classes of U/2U, and reduces an even R
-itself; a class costs its odd unit coordinates plus one search on R,
-which is factored once for all its classes, and the classes are visited
-by that lower bound until it reaches the least square found.
+`_reduce` splits the basis vectors of square 1 off the input basis, and
+again after each split while the rest shows one, then LLL-reduces what is
+left and splits again until none remain or what is left is even, so that
+a lattice is written Zᵏ ⊕ R with the parts orthogonal and the search only
+sees R.  `min_char_square` decides unimodularity first, on the det G
+that `make_lattice` read off its LDLᵀ (or det L/[U:L]² for an
+overlattice), runs the loop, maps the search's one witness back through
+the recorded stages, and keeps the stages and R with its result.  On an
+even R, 0 is characteristic and the least square, so nothing is searched
+or factored (Elkies' step stops there).  `constrained_min` takes that
+reduction of U(M), or runs the loop on U(M) itself, whose constraint set
+is 2^r classes of U/2U, and reduces an even R; a class costs its odd unit
+coordinates plus one search on R, which is factored once for all its
+classes, and the classes are visited by that lower bound until it
+reaches the least square found.
 Both work on integer Gram matrices and on integer basis rows over one
 denominator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -40,6 +42,9 @@ class MinimizationResult:
     minimum: int
     witness: tuple  # rational coordinates in the base-lattice basis
     nodes_visited: int
+    # `_reduce`'s (stages, rest) of the integer Gram matrix, which
+    # `constrained_min` takes instead of reducing U(M) again
+    reduction: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def d(self):
@@ -51,7 +56,9 @@ class MinimizationResult:
 class DSetEntry:
     metabolizer: object  # Subgroup M of the discriminant group
     overlattice: object  # OverLattice U(M)
-    result: MinimizationResult  # min χ² over U(M); result.d is d_{U(M)}
+    # min χ² over U(M); result.d is d_{U(M)}, and result.reduction is U(M)'s
+    # one reduction, which `topo.chain_check` hands to `constrained_min`
+    result: MinimizationResult
 
 
 @dataclass(frozen=True)
@@ -164,19 +171,22 @@ def _is_even(gram):
 
 def _reduce(gram):
     """Split off the basis vectors of square 1 of a positive definite
-    integer Gram matrix, LLL-reduce the rest and split again, until a
-    reduced basis has none or the rest is even.
+    integer Gram matrix, again after every split, and LLL-reduce only a
+    rest with no 1 on its diagonal, until a reduced basis has none or the
+    rest is even.
 
     Returns (stages, rest): the splits (units, rest, C) and the LLL
-    transforms T, in order, and the Gram matrix of what is left.  An even
-    rest has no vector of square 1, so the loop stops there, neither
+    transforms T, in order, and the Gram matrix of what is left.  A split
+    can leave a projected basis vector of square 1, a unit vector of the
+    rest, so the diagonal is read again before anything is reduced.  An
+    even rest has no vector of square 1, so the loop stops there, neither
     reduced nor factored.  Each stage is a unimodular change of basis, so
     the lattice is Zᵏ ⊕ R with the two parts orthogonal, k the number of
     units split off and R the lattice of `rest`.
     """
     stages = []
-    units = [i for i, row in enumerate(gram) if row[i] == 1]
     while True:
+        units = [i for i, row in enumerate(gram) if row[i] == 1]
         if units:
             # distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1,
             # with equality only for v = ±w), so b_j of the rest projects to
@@ -187,13 +197,13 @@ def _reduce(gram):
             stages.append((units, rest, c))
             gram = [[gram[j][k] - sum(map(mul, cj, ck))
                      for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
-        if _is_even(gram):  # also when nothing is left
+        elif (stages and type(stages[-1]) is not tuple) or _is_even(gram):
+            # a reduced basis without units, or an even rest (also when
+            # nothing is left)
             return stages, gram
-        t, gram, _ = exactmat.lll_gram(gram)
-        stages.append(t)
-        units = [i for i, row in enumerate(gram) if row[i] == 1]
-        if not units:
-            return stages, gram
+        else:
+            t, gram = exactmat.lll_gram(gram)
+            stages.append(t)
 
 
 def min_char_square(obj):
@@ -211,7 +221,7 @@ def min_char_square(obj):
     through the splits and reductions.
     """
     gram, basis, denom = _unimodular_gram(obj)
-    stages, gram = _reduce(gram)
+    reduction = stages, gram = _reduce(gram)
     minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
     v, nodes = [0] * len(gram), 0  # 0 is characteristic on an even rest
     if not _is_even(gram):
@@ -236,12 +246,13 @@ def min_char_square(obj):
         raise InvariantViolation(f"min char square {minimum} > rank {len(v)}")
     return MinimizationResult(
         minimum=minimum, witness=tuple(Fraction(x, denom) for x in v),
-        nodes_visited=nodes)
+        nodes_visited=nodes, reduction=reduction)
 
 
 def d_set(grp):
     """One correction term d_{U(M)} per metabolizer M of the lattice-derived
-    discriminant group grp, with U(M) and its characteristic minimum."""
+    discriminant group grp, with U(M) and its characteristic minimum.  Each
+    U(M) is reduced once, and its entry's result keeps that reduction."""
     entries = []
     for m in discgroup.metabolizers_of_group(grp):
         u = build_overlattice(grp, m)
@@ -279,7 +290,7 @@ def _classes_mod2(stages, vectors):
     return [(_bits(o), _bits(x)) for o, x in zip(odd, vectors)]
 
 
-def constrained_min(lat, u):
+def constrained_min(lat, u, reduction=None):
     """Exact min of (χ² − n)/4 over the characteristic covectors χ of L that
     lie in the intermediate lattice U = U(M), i.e. whose projection lies in
     the subgroup M.
@@ -296,6 +307,11 @@ def constrained_min(lat, u):
     other.  The classes are visited in increasing order of that lower
     bound, and the walk stops once the bound reaches the least square
     found.
+
+    `reduction`, when given, is `_reduce`'s (stages, rest) of U's integer
+    Gram matrix, as `min_char_square` keeps it, and U is not reduced
+    again.  U is reduced here when it is not given or U is not integral,
+    so any intermediate lattice U may be passed.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -313,10 +329,12 @@ def constrained_min(lat, u):
     # U's Gram matrix is H·G_L·Hᵀ/e² = (H·G_L·Hᵀ/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in u.scaled_gram for x in row))
     denom = e * e // g
-    stages, rest = _reduce([[x // g for x in row] for row in u.scaled_gram])
+    if reduction is None or denom != 1:  # none given, or U is not integral
+        reduction = _reduce([[x // g for x in row] for row in u.scaled_gram])
+    stages, rest = reduction
     if rest and _is_even(rest):  # `_reduce` leaves an even rest unreduced
-        t, rest, _ = exactmat.lll_gram(rest)
-        stages.append(t)
+        t, rest = exactmat.lll_gram(rest)
+        stages = stages + [t]  # a handed-over reduction stays as it was
     factored = None  # R's LDLᵀ, made for the first class searched
     classes = _classes_mod2(stages, [c0] + kernel)
     cosets = classes[:1]  # c₀ + span(kernel), formed by XOR

@@ -281,10 +281,9 @@ def lll_gram(gram):
     """Integral LLL reduction (δ = 3/4) of a positive definite integer Gram
     matrix, after Cohen, GTM 138, Algorithm 2.6.7.
 
-    Returns (T, T·G·Tᵀ, det G) with T unimodular; the rows of T are the
-    reduced basis in the input basis.  Only integers are used: d[i] is the
-    Gram determinant of the first i vectors and lam[k][j] = d[j+1]·μ_kj, so
-    det G is d[n], which no unimodular transform changes.  Raises
+    Returns (T, T·G·Tᵀ) with T unimodular; the rows of T are the reduced
+    basis in the input basis.  Only integers are used: d[i] is the Gram
+    determinant of the first i vectors and lam[k][j] = d[j+1]·μ_kj.  Raises
     NotPositiveDefinite when some d[i] is not positive.
     """
     n = len(gram)
@@ -335,7 +334,7 @@ def lll_gram(gram):
         for l in range(k - 2, -1, -1):
             red(k, l)
         k += 1
-    return t, g, d[n]
+    return t, g
 
 
 def solve_mod2(a, b):

@@ -66,9 +66,18 @@ def is_integral(u):
 
 
 def int_gram(u):
-    """The Gram matrix of an integral overlattice, as plain ints."""
-    if not is_integral(u):
-        raise NotIntegral("overlattice form is not integral")
+    """The Gram matrix of an integral overlattice, as plain ints, in one
+    pass over H·G_L·Hᵀ that stops at the first entry denom² does not
+    divide."""
     d2 = u.denom * u.denom
-    return [[x // d2 for x in row] for row in u.scaled_gram]
+    gram = []
+    for row in u.scaled_gram:
+        out = []
+        for x in row:
+            q, r = divmod(x, d2)
+            if r:
+                raise NotIntegral("overlattice form is not integral")
+            out.append(q)
+        gram.append(out)
+    return gram
 

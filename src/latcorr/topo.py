@@ -223,11 +223,6 @@ def chain_check(q, table):
     if table.group.orders != grp.orders or table.group.form != form:
         raise GroupMismatch(
             "d-table group or pairing does not match the filling boundary")
-    if filling.negated:
-        # orientation reversal: d(-Y, t) = -d(Y, t), elements conjugate
-        values = {discgroup.neg(grp, e): -v for e, v in table.values.items()}
-    else:
-        values = table.values
     records = []
     embeds = False
     for entry in corrterm.d_set(grp).entries:
@@ -235,11 +230,19 @@ def chain_check(q, table):
         if grp.order % 2:
             cmin = d_over  # the L-characteristic covectors in U(M) are U's
         else:
-            cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
+            cmin = corrterm.constrained_min(grp.lattice, entry.overlattice,
+                                            entry.result.reduction)
             if d_over < cmin:  # Char(U) ⊂ Char(L) ∩ U
                 raise InvariantViolation(
                     f"d_U(M) = {d_over} < constrained min {cmin}")
-        tmin = min(values[e] for e in m.elements)
+        if filling.negated:
+            # orientation reversal: d(-Y, t) = -d(Y, t), elements conjugate,
+            # read on the metabolizer only
+            d_values = tuple((e, -table.values[discgroup.neg(grp, e)])
+                             for e in m.elements)
+        else:
+            d_values = tuple((e, table.values[e]) for e in m.elements)
+        tmin = min(v for _, v in d_values)
         failure = None
         if cmin < tmin:
             failure = f"constrained min >= min d(Y,t) fails: {cmin} < {tmin}"
@@ -247,7 +250,7 @@ def chain_check(q, table):
             embeds = True  # forces d_U(M) = 0 along the chain
         records.append(MetabolizerRecord(
             metabolizer=m, d_over=d_over, constrained=cmin, table_min=tmin,
-            d_values=tuple((e, values[e]) for e in m.elements),
+            d_values=d_values,
             chain_holds=failure is None, failure=failure))
     consistent = all(r.chain_holds for r in records)
     verdict = "unobstructed" if consistent else "obstructed"

@@ -223,7 +223,7 @@ def constrained_min(lat, u):
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g
-    t, a, _ = exactmat.lll_gram([[x // g for x in row] for row in a])
+    t, a = exactmat.lll_gram([[x // g for x in row] for row in a])
     # c₀ in the reduced basis T·rows of Λ is z/2 with z = 2c₀·(T·rows)⁻¹,
     # integral because 2U ⊂ Λ: solve y·rows = 2c₀ against the triangular
     # HNF rows; coset_min reads z mod 2 only, so z·T ≡ y is solved over F₂

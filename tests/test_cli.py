@@ -506,8 +506,8 @@ def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
     # function, hence the module lookup).  The group (Z/2)⁴ of
     # diag(2,2,2,2) has even order, so the classes are walked; every U(M)
     # is Z⁴ and splits fully, so no class needs a coset search.  No HNF of
-    # U ∩ 2L* is formed, and the constrained minimum reduces U(M) by the
-    # same LLL calls as its characteristic minimum
+    # U ∩ 2L* is formed, and each U(M) is reduced once, by its
+    # characteristic minimum: the constrained minimum takes that reduction
     overlattice = importlib.import_module("latcorr.overlattice")
     lat_file, table_file = _diag_files(tmp_path, (2, 2, 2, 2), "-1")
     n_mets = 3
@@ -515,8 +515,9 @@ def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
     calls = {name: [] for name in ("min_char_square", "constrained_min")}
     real = {name: getattr(corrterm, name) for name in calls}
     real_canonical = overlattice._canonical
-    real_lll, real_hnf, real_coset_min = (
-        exactmat.lll_gram, exactmat.hnf, corrterm.coset_min)
+    real_reduce, real_lll, real_hnf, real_coset_min = (
+        corrterm._reduce, exactmat.lll_gram, exactmat.hnf,
+        corrterm.coset_min)
 
     def canonical(lat, rows, denom):
         builds.append(rows)
@@ -531,7 +532,8 @@ def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
 
     def entered(name):
         def wrapper(*args):
-            calls[name].append({"lll": 0, "hnf": 0, "search": 0})
+            calls[name].append(
+                {"reduce": 0, "lll": 0, "hnf": 0, "search": 0})
             inside.append(calls[name][-1])
             try:
                 return real[name](*args)
@@ -540,6 +542,7 @@ def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
         return wrapper
 
     monkeypatch.setattr(overlattice, "_canonical", canonical)
+    monkeypatch.setattr(corrterm, "_reduce", counted("reduce", real_reduce))
     monkeypatch.setattr(exactmat, "lll_gram", counted("lll", real_lll))
     monkeypatch.setattr(exactmat, "hnf", counted("hnf", real_hnf))
     monkeypatch.setattr(corrterm, "coset_min",
@@ -551,11 +554,11 @@ def test_chain_walks_the_classes_of_each_u_in_its_own_reduced_basis(
     assert code == 0
     assert len(payload["evidence"]) == n_mets
     assert len(builds) == n_mets
+    assert len(calls["min_char_square"]) == n_mets
     assert len(calls["constrained_min"]) == n_mets
-    assert all(c["hnf"] == 0 and c["search"] == 0
+    assert [c["reduce"] for c in calls["min_char_square"]] == [1] * n_mets
+    assert all(c["reduce"] == c["lll"] == c["hnf"] == c["search"] == 0
                for c in calls["constrained_min"])
-    assert ([c["lll"] for c in calls["constrained_min"]]
-            == [c["lll"] for c in calls["min_char_square"]])
 
 
 def test_chain_takes_d_of_u_as_the_constrained_min_for_odd_order(
@@ -906,7 +909,7 @@ def test_a_failed_chain_theorem_is_one_error_line(capsys, monkeypatch):
     # d_U(M) ≥ constrained min is a theorem: its failure is a library
     # fault, reported as an InvariantViolation, never as a verdict
     monkeypatch.setattr(corrterm, "constrained_min",
-                        lambda lat, u: Fraction(1))
+                        lambda lat, u, reduction=None: Fraction(1))
     code, out, err = run_cli(capsys, "topo", "chain", "--filling",
                              str(DATA_DIR / "four.json"),
                              "--dtable", str(DATA_DIR / "l41.json"))

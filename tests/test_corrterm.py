@@ -540,6 +540,112 @@ def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
     assert checked >= 20 and rests >= 2
 
 
+def _unimodular_conjugates():
+    """(lattice, minimum): 300 seeded conjugates of I₈…I₁₂, E8, E8 ⊕ E8
+    and E8 ⊕ I₁…₄, thirty shapes a round as a `dinv` benchmark round
+    draws them, each T from as many row operations as its rank."""
+    e8 = e8_gram()
+    shapes = ([(e8, 0)] * 2 + [(_direct_sum(e8, e8), 0)] * 2
+              + [(_padded(e8, k), k) for k in (1, 2, 3, 4)]
+              + [(exactmat.identity(n), n)
+                 for n in [8, 9] + [10] * 10 + [11] * 5 + [12] * 5])
+    rng = random.Random(0)
+    for _ in range(10):
+        for gram, minimum in shapes:
+            n = len(gram)
+            yield (lattice_mod.make_lattice(basis_change(
+                gram, random_unimodular(rng, n, ops=n))), minimum)
+
+
+def test_unimodular_conjugates_take_32_reductions(monkeypatch):
+    # every unit on the diagonal is split off, also one that a split
+    # leaves, before anything is reduced: 32 LLL calls for the 300
+    # conjugates (234 when a split was followed by an LLL at once), with
+    # the minima unchanged and every witness characteristic
+    real, calls = exactmat.lll_gram, []
+
+    def spy(gram):
+        calls.append(len(gram))
+        return real(gram)
+
+    monkeypatch.setattr(exactmat, "lll_gram", spy)
+    cases = 0
+    for lat, minimum in _unimodular_conjugates():
+        res = corrterm.min_char_square(lat)
+        assert res.minimum == minimum and res.nodes_visited == 0
+        assert is_characteristic(lat, res.witness)
+        assert pairing(lat, res.witness, res.witness) == minimum
+        cases += 1
+    assert cases == 300
+    assert len(calls) == 32
+
+
+def test_reduce_reduces_no_gram_with_a_unit_on_its_diagonal(rng,
+                                                            monkeypatch):
+    # `_reduce` reads the diagonal again after every split: no Gram matrix
+    # it hands to lll_gram, and no rest it returns, has a 1 on its
+    # diagonal, on unimodular conjugates, D12⁺ ⊕ I_k, U(M) and forms of
+    # any determinant
+    real, reduced = exactmat.lll_gram, []
+
+    def spy(gram):
+        reduced.append(gram)
+        return real(gram)
+
+    grams = [lat.gram_rows() for lat, _ in _unimodular_conjugates()]
+    grams += [basis_change(_padded(d12_plus_gram(), k),
+                           random_unimodular(rng, 12 + k, ops=24))
+              for k in range(4)]
+    grams += [random_posdef_gram(rng, max_rank=6, max_disc=64)
+              for _ in range(80)]
+    for gram in grams[-80:]:
+        grp = discgroup.disc_group(lattice_mod.make_lattice(gram))
+        grams += [int_gram(build_overlattice(grp, m))
+                  for m in discgroup.metabolizers_of_group(grp)]
+    monkeypatch.setattr(exactmat, "lll_gram", spy)
+    for gram in grams:
+        _, rest = corrterm._reduce(gram)
+        assert all(row[i] != 1 for i, row in enumerate(rest))
+    assert len(reduced) >= 40
+    assert all(row[i] != 1 for g in reduced for i, row in enumerate(g))
+
+
+def _even_order_lattices(rng):
+    """Seeded lattices whose discriminant group has even square order, so
+    that most have metabolizers: small random forms, and conjugates of
+    ⟨4⟩ ⊕ E8, ⟨2, 2⟩ ⊕ E8 and D12⁺ ⊕ ⟨2, 2⟩, whose U(M) leave a rest that
+    is reduced."""
+    lats = []
+    while len(lats) < 40:
+        lat = lattice_mod.make_lattice(
+            random_posdef_gram(rng, max_rank=6, max_disc=64))
+        if lat.det % 2 == 0 and isqrt(lat.det) ** 2 == lat.det:
+            lats.append(lat)
+    for base in (_direct_sum([[4]], e8_gram()),
+                 _direct_sum(_diag(2, 2), e8_gram()),
+                 _direct_sum(d12_plus_gram(), _diag(2, 2))):
+        for _ in range(2):
+            lats.append(lattice_mod.make_lattice(basis_change(
+                base, random_unimodular(rng, len(base), ops=24))))
+    return lats
+
+
+def test_constrained_min_takes_the_reduction_of_d_set(rng):
+    # on every metabolizer of even-order lattices, the constrained minimum
+    # from the reduction d_set kept equals the one that reduces U(M)
+    # itself, and both equal the search of c₀ + Λ in tests/duality.py
+    entries = reduced = 0
+    for lat in _even_order_lattices(rng):
+        for e in corrterm.d_set(discgroup.disc_group(lat)).entries:
+            u, reduction = e.overlattice, e.result.reduction
+            handed = corrterm.constrained_min(lat, u, reduction)
+            assert handed == corrterm.constrained_min(lat, u)
+            assert handed == lambda_search_min(lat, u)
+            entries += 1
+            reduced += any(type(s) is not tuple for s in reduction[0])
+    assert entries >= 40 and reduced >= 4
+
+
 def test_constrained_min_on_the_metabolizers_of_2i6(monkeypatch):
     # every metabolizer M of 2·I₆ leaves r = 3, so 8 classes of U(M)/2U(M)
     # to walk; U(M) is unimodular of rank 6, so Z⁶, and splits fully, so no
@@ -652,7 +758,7 @@ def test_min_char_square_multiplies_by_no_identity(monkeypatch):
     # already reduced, so its reduction returns T = I; for k = 0 nothing
     # splits first, and that T = I is the basis of the rest
     for k in (0, 1, 3):
-        _, gram, _ = exactmat.lll_gram(_padded(e8_gram(), k))
+        _, gram = exactmat.lll_gram(_padded(e8_gram(), k))
         res = run(gram)
         assert res.minimum == k and res.d == -2
     assert not any(f == exactmat.identity(len(f)) for f in factors)

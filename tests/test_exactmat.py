@@ -501,9 +501,10 @@ def test_lll_gram_conjugates_of_standard_lattice():
     rng = random.Random(31)
     for n in range(1, 13):
         g = _conjugate(rng, exactmat.identity(n), 4 * n)
-        t, reduced, det = exactmat.lll_gram(g)
+        t, reduced = exactmat.lll_gram(g)
         _assert_lll_reduced(g, t, reduced)
-        assert det == exactmat.det(g)
+        assert exactmat.det(reduced) == exactmat.det(g)
+        assert abs(exactmat.det(t)) == 1
         # every reduced basis of Zⁿ seen here is the standard one up to signs
         assert reduced == exactmat.identity(n)
 
@@ -514,9 +515,10 @@ def test_lll_gram_e8_plus_standard():
         g = [row + [0] * k for row in e8_gram()] + \
             [[0] * 8 + [int(i == j) for j in range(k)] for i in range(k)]
         g = _conjugate(rng, g, 30)
-        t, reduced, det = exactmat.lll_gram(g)
+        t, reduced = exactmat.lll_gram(g)
         _assert_lll_reduced(g, t, reduced)
-        assert det == exactmat.det(g)
+        assert exactmat.det(reduced) == exactmat.det(g)
+        assert abs(exactmat.det(t)) == 1
         assert sorted(reduced[i][i] for i in range(8 + k)) == \
             [1] * k + [2] * 8
 
@@ -530,9 +532,10 @@ def test_lll_gram_random_forms():
             if exactmat.det(b):
                 break
         g = exactmat.matmul(b, exactmat.transpose(b))
-        t, reduced, det = exactmat.lll_gram(g)
+        t, reduced = exactmat.lll_gram(g)
         _assert_lll_reduced(g, t, reduced)
-        assert det == exactmat.det(g)
+        assert exactmat.det(reduced) == exactmat.det(g)
+        assert abs(exactmat.det(t)) == 1
 
 
 def test_lll_gram_rejects_non_definite():

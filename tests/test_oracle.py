@@ -143,6 +143,50 @@ def test_every_d_at_rank_at_most_7_is_zero(tmp_path):
     assert len(cases) >= 30 and 15 <= embeds < len(cases)
 
 
+def _rank_4_census(max_product=100):
+    """Every positive definite rank-4 Gram matrix with a₁₁ ≤ a₂₂ ≤ a₃₃ ≤
+    a₄₄, 2|a_ij| ≤ a_ii for i < j, ∏ a_ii ≤ max_product and a square det
+    ≤ 25.  Every Minkowski-reduced form satisfies the first two, and at
+    rank 4 its ∏ a_ii is at most 4·det, so each class of det ≤ 25 is in."""
+    squares = {k * k for k in range(1, 6)}
+
+    def spread(a):
+        return range(-(a // 2), a // 2 + 1)
+
+    for a in range(1, 4):
+        for b in range(a, max_product // a ** 3 + 1):
+            for c in range(b, max_product // (a * b * b) + 1):
+                for d in range(c, max_product // (a * b * c) + 1):
+                    for x12, x13, x23 in itertools.product(
+                            spread(a), spread(a), spread(b)):
+                        if exactmat.det([[a, x12, x13], [x12, b, x23],
+                                         [x13, x23, c]]) <= 0:
+                            continue
+                        for x14, x24, x34 in itertools.product(
+                                spread(a), spread(b), spread(c)):
+                            g = [[a, x12, x13, x14], [x12, b, x23, x24],
+                                 [x13, x23, c, x34], [x14, x24, x34, d]]
+                            if exactmat.det(g) in squares:
+                                yield g
+
+
+def test_embed_check_agrees_with_brute_embed_on_the_rank_4_census(tmp_path):
+    # every U(M) of the census goes through `_reduce`: at rank 4 it is Z⁴,
+    # so embed-check says "embeds" exactly when a metabolizer exists, and
+    # brute_embed, under its caps here, must agree on every form
+    path = tmp_path / "lattice.json"
+    forms = embeds = 0
+    with cpu_alarm(30):
+        for gram in _rank_4_census():
+            path.write_text(json.dumps({"gram": gram}))
+            code, payload = run_json(["lattice", "embed-check", str(path)])
+            found, _ = oracle.brute_embed(lattice_mod.make_lattice(gram))
+            assert (payload["embeds"], code) == (found, 0 if found else 2)
+            forms += 1
+            embeds += found
+    assert (forms, embeds) == (1616, 1497)
+
+
 def test_brute_char_min_agrees_with_optimized(rng):
     cases = [exactmat.identity(3), e8_gram()]
     while len(cases) < 12:

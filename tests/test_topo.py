@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from latcorr import corrterm, discgroup, topo
+from latcorr import corrterm, discgroup, lattice as lattice_mod, topo
 from latcorr.errors import (GroupMismatch, IncompleteTable, InputError,
                             InvariantViolation)
 
-from conftest import DATA_DIR, d4_gram
+from conftest import DATA_DIR, d4_gram, random_posdef_gram
 
 
 def _write_table(tmp_path, orders, pairing, values, z2):
@@ -178,7 +180,7 @@ def test_chain_check_raises_when_a_theorem_fails(monkeypatch):
     rep = topo.chain_check([[4]], table)
     assert [r.d_over >= r.constrained for r in rep.evidence] == [True]
     monkeypatch.setattr(corrterm, "constrained_min",
-                        lambda lat, u: Fraction(1))
+                        lambda lat, u, reduction=None: Fraction(1))
     with pytest.raises(InvariantViolation, match="< constrained min 1"):
         topo.chain_check([[4]], table)
 
@@ -209,6 +211,42 @@ def test_chain_check_negative_filling_orientation(tmp_path):
     rep_neg = topo.chain_check([[-9]], topo.load_dtable(neg_path))
     assert rep_pos.verdict == rep_neg.verdict == "unobstructed"
     assert rep_neg.orientation_note is not None
+
+
+def _table_on(filling, values):
+    """A complete d-table on the boundary of a filling, held in memory."""
+    pairing = [[str(x) for x in row] for row in filling.boundary_pairing]
+    return topo.DInvariantTable(
+        group=discgroup.group_from_table(filling.group.orders, pairing),
+        values=values)
+
+
+def test_chain_check_negates_only_the_metabolizer_values():
+    # a negated filling reads −d(Y, −t) on each metabolizer element; the
+    # evidence equals that of the positive filling checked against the
+    # table negated and conjugated in full, at odd and even orders
+    rng = random.Random(11)
+    records, seen = 0, set()
+    while records < 40:
+        q = random_posdef_gram(rng, max_rank=5, max_disc=64)
+        det = lattice_mod.make_lattice(q).det
+        if isqrt(det) ** 2 != det:  # no metabolizer, so no evidence
+            continue
+        neg_q = [[-x for x in row] for row in q]
+        filling = topo.linking_form_of_filling(neg_q)
+        grp = filling.group
+        values = {e: Fraction(rng.randint(-6, 6), 4) for e in grp.elements()}
+        rep = topo.chain_check(neg_q, _table_on(filling, values))
+        full = {discgroup.neg(grp, e): -v for e, v in values.items()}
+        ref = topo.chain_check(
+            q, _table_on(topo.linking_form_of_filling(q), full))
+        assert rep.evidence == ref.evidence
+        assert (rep.verdict, rep.reason) == (ref.verdict, ref.reason)
+        assert rep.orientation_note and not ref.orientation_note
+        records += len(rep.evidence)
+        seen.add((grp.order % 2, rep.verdict))
+    assert seen == {(parity, verdict) for parity in (0, 1)
+                    for verdict in ("obstructed", "unobstructed")}
 
 
 def test_chain_check_d4():
