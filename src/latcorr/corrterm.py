@@ -5,35 +5,30 @@ positive definite integer A, by depth-first branch and bound over the
 fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
-`_reduce` splits the basis vectors of square 1 off the input basis, and
-again after each split while the rest shows one, then LLL-reduces what is
-left and splits again until none remain or what is left is even, so that
-a lattice is written Zᵏ ⊕ R with the parts orthogonal and the search only
-sees R.  `min_char_square` decides unimodularity first, on the det G
-that `make_lattice` read off its LDLᵀ (or det L/[U:L]² for an
-overlattice), runs the loop, maps the search's one witness back through
-the recorded stages, and keeps the stages and R with its result.  On an
-even R, 0 is characteristic and the least square, so nothing is searched
-or factored (Elkies' step stops there).  `constrained_min` takes that
-reduction of U(M), or runs the loop on U(M) itself, whose constraint set
-is 2^r classes of U/2U, and reduces an even R; a class costs its odd unit
-coordinates plus one search on R, which is factored once for all its
-classes, and the classes are visited by that lower bound until it
-reaches the least square found.
+`exactmat.split_reduce` writes a lattice Zᵏ ⊕ R with the parts orthogonal,
+so the search only sees R; an overlattice keeps that reduction of its
+Gram matrix as `OverLattice.reduction`.  `min_char_square` decides
+unimodularity first, on the det G that `make_lattice` read off its LDLᵀ
+(or det L/[U:L]² for an overlattice), reduces, and maps the search's one
+witness back through the recorded stages.  On an even R, 0 is
+characteristic and the least square, so nothing is searched or factored
+(Elkies' step stops there).  `constrained_min` reads the same reduction of
+U(M), whose constraint set is 2^r classes of U/2U, and reduces an even R;
+a class costs its odd unit coordinates plus one search on R, which is
+factored once for all its classes, and the classes are visited by that
+lower bound until it reaches the least square found.
 Both work on integer Gram matrices and on integer basis rows over one
 denominator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import (OverLattice, int_gram,
-                          overlattice as build_overlattice)
-from .errors import (InputError, InvariantViolation, NotInDualLattice,
-                     NotIntegral)
+from .overlattice import OverLattice, overlattice as build_overlattice
+from .errors import InputError, InvariantViolation, NotInDualLattice
 from .lattice import Lattice
 
 
@@ -42,9 +37,6 @@ class MinimizationResult:
     minimum: int
     witness: tuple  # rational coordinates in the base-lattice basis
     nodes_visited: int
-    # `_reduce`'s (stages, rest) of the integer Gram matrix, which
-    # `constrained_min` takes instead of reducing U(M) again
-    reduction: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def d(self):
@@ -56,9 +48,7 @@ class MinimizationResult:
 class DSetEntry:
     metabolizer: object  # Subgroup M of the discriminant group
     overlattice: object  # OverLattice U(M)
-    # min χ² over U(M); result.d is d_{U(M)}, and result.reduction is U(M)'s
-    # one reduction, which `topo.chain_check` hands to `constrained_min`
-    result: MinimizationResult
+    result: MinimizationResult  # min χ² over U(M); result.d is d_{U(M)}
 
 
 @dataclass(frozen=True)
@@ -140,70 +130,25 @@ def coset_min(a, x, factored=None):
     return best_val // scale, best_v, nodes
 
 
-def _unimodular_gram(obj):
-    """(int Gram, int basis rows H, denominator e) of a positive definite
-    unimodular lattice or overlattice; its basis in L-coords is H/e, and H
-    is None for a lattice, whose basis is its own.  Unimodularity is read
-    off the det that `make_lattice` and `overlattice` carry, so nothing is
-    factored or reduced to decide it; an overlattice must be integral too.
+def _unimodular_reduction(obj):
+    """(`exactmat.split_reduce`'s (stages, rest), int basis rows H,
+    denominator e) of a positive definite unimodular lattice or
+    overlattice; its basis in L-coords is H/e, and H is None for a lattice,
+    whose basis is its own.  Unimodularity is read off the det that
+    `make_lattice` and `overlattice` carry, so nothing is factored or
+    reduced to decide it; an overlattice must be integral too.
     """
     if isinstance(obj, Lattice):
         if obj.det == 1:
-            return obj.gram_rows(), None, 1
+            return exactmat.split_reduce(obj.gram_rows()), None, 1
         kind = "lattice"
     elif isinstance(obj, OverLattice):
-        if obj.det == 1:
-            try:
-                return int_gram(obj), obj.rows, obj.denom
-            except NotIntegral:
-                pass
+        if obj.det == 1 and obj.gram_denom == 1:
+            return obj.reduction, obj.rows, obj.denom
         kind = "overlattice"
     else:
         raise InputError(f"unsupported lattice object {type(obj).__name__}")
     raise InputError(f"correction term requires a unimodular {kind}")
-
-
-def _is_even(gram):
-    """True iff every square of the integer lattice is even, which holds
-    iff every square of a basis, on the diagonal, is."""
-    return not any(row[i] & 1 for i, row in enumerate(gram))
-
-
-def _reduce(gram):
-    """Split off the basis vectors of square 1 of a positive definite
-    integer Gram matrix, again after every split, and LLL-reduce only a
-    rest with no 1 on its diagonal, until a reduced basis has none or the
-    rest is even.
-
-    Returns (stages, rest): the splits (units, rest, C) and the LLL
-    transforms T, in order, and the Gram matrix of what is left.  A split
-    can leave a projected basis vector of square 1, a unit vector of the
-    rest, so the diagonal is read again before anything is reduced.  An
-    even rest has no vector of square 1, so the loop stops there, neither
-    reduced nor factored.  Each stage is a unimodular change of basis, so
-    the lattice is Zᵏ ⊕ R with the two parts orthogonal, k the number of
-    units split off and R the lattice of `rest`.
-    """
-    stages = []
-    while True:
-        units = [i for i, row in enumerate(gram) if row[i] == 1]
-        if units:
-            # distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1,
-            # with equality only for v = ±w), so b_j of the rest projects to
-            # b_j − Σ c_ji·b_i over the units i, C = gram[rest][units], and
-            # the rest's Gram matrix is gram[rest][rest] − C·Cᵀ
-            rest = [j for j, row in enumerate(gram) if row[j] != 1]
-            c = [[gram[j][i] for i in units] for j in rest]
-            stages.append((units, rest, c))
-            gram = [[gram[j][k] - sum(map(mul, cj, ck))
-                     for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
-        elif (stages and type(stages[-1]) is not tuple) or _is_even(gram):
-            # a reduced basis without units, or an even rest (also when
-            # nothing is left)
-            return stages, gram
-        else:
-            t, gram = exactmat.lll_gram(gram)
-            stages.append(t)
 
 
 def min_char_square(obj):
@@ -211,20 +156,20 @@ def min_char_square(obj):
     positive definite lattice, with a witness in base-lattice coordinates.
 
     Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
-    characteristic minimum of Zv is 1, attained at v.  `_reduce` splits
-    and LLL-reduces until a reduced basis has no vector of square 1 or the
-    rest is even.  An even rest has χ = 0 as a characteristic vector of
-    least square, so it adds 0 to the minimum and 0 to the witness without
-    a search; any other rest goes to the branch and bound.  Unimodularity
-    is decided first, on the det the lattice or overlattice carries;
-    when everything splits, U is Zⁿ.  The rest's witness is mapped back
-    through the splits and reductions.
+    characteristic minimum of Zv is 1, attained at v.
+    `exactmat.split_reduce` splits and LLL-reduces until a reduced basis
+    has no vector of square 1 or the rest is even; an overlattice's
+    reduction is the one it keeps.  An even rest has χ = 0 as a
+    characteristic vector of least square, so it adds 0 to the minimum and
+    0 to the witness without a search; any other rest goes to the branch
+    and bound.  Unimodularity is decided first, on the det the lattice or
+    overlattice carries; when everything splits, U is Zⁿ.  The rest's
+    witness is mapped back through the splits and reductions.
     """
-    gram, basis, denom = _unimodular_gram(obj)
-    reduction = stages, gram = _reduce(gram)
+    (stages, gram), basis, denom = _unimodular_reduction(obj)
     minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
     v, nodes = [0] * len(gram), 0  # 0 is characteristic on an even rest
-    if not _is_even(gram):
+    if not exactmat.is_even(gram):
         # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
         # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
         x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
@@ -246,13 +191,12 @@ def min_char_square(obj):
         raise InvariantViolation(f"min char square {minimum} > rank {len(v)}")
     return MinimizationResult(
         minimum=minimum, witness=tuple(Fraction(x, denom) for x in v),
-        nodes_visited=nodes, reduction=reduction)
+        nodes_visited=nodes)
 
 
 def d_set(grp):
     """One correction term d_{U(M)} per metabolizer M of the lattice-derived
-    discriminant group grp, with U(M) and its characteristic minimum.  Each
-    U(M) is reduced once, and its entry's result keeps that reduction."""
+    discriminant group grp, with U(M) and its characteristic minimum."""
     entries = []
     for m in discgroup.metabolizers_of_group(grp):
         u = build_overlattice(grp, m)
@@ -271,11 +215,12 @@ def _bits(x):
 
 
 def _classes_mod2(stages, vectors):
-    """Map integer vectors, coordinates in the input basis of `_reduce`,
-    mod 2 through its stages.  Returns one (odd, rest) pair of bit masks
-    per vector: bit k of odd is its parity on the k-th unit split off, bit
-    j of rest its parity on coordinate j of the rest.  The map is linear
-    over F₂, so the image of a sum mod 2 is the XOR of the images."""
+    """Map integer vectors, coordinates in the input basis of
+    `exactmat.split_reduce`, mod 2 through its stages.  Returns one (odd,
+    rest) pair of bit masks per vector: bit k of odd is its parity on the
+    k-th unit split off, bit j of rest its parity on coordinate j of the
+    rest.  The map is linear over F₂, so the image of a sum mod 2 is the
+    XOR of the images."""
     odd = [[] for _ in vectors]
     for stage in stages:
         if type(stage) is tuple:  # on unit i, x is x_i + Σ_j x_j·c_ji
@@ -290,7 +235,7 @@ def _classes_mod2(stages, vectors):
     return [(_bits(o), _bits(x)) for o, x in zip(odd, vectors)]
 
 
-def constrained_min(lat, u, reduction=None):
+def constrained_min(lat, u):
     """Exact min of (χ² − n)/4 over the characteristic covectors χ of L that
     lie in the intermediate lattice U = U(M), i.e. whose projection lies in
     the subgroup M.
@@ -300,18 +245,14 @@ def constrained_min(lat, u, reduction=None):
     an element of Λ = U ∩ 2L* ⊃ 2U, so the constraint set is the union of
     the 2^r classes c₀ + span(kernel) of U/2U, r the kernel's dimension
     over F₂, and each class's least square is a coset minimum of U's Gram
-    matrix.  `_reduce` writes U = Zᵏ ⊕ R with the parts orthogonal (an
-    even R, which it leaves unreduced, is LLL-reduced here before its
-    classes are searched), so a class costs 1 per odd unit coordinate plus
-    its coset minimum on R: 0 for the zero class of R, at least 1 for any
-    other.  The classes are visited in increasing order of that lower
-    bound, and the walk stops once the bound reaches the least square
-    found.
-
-    `reduction`, when given, is `_reduce`'s (stages, rest) of U's integer
-    Gram matrix, as `min_char_square` keeps it, and U is not reduced
-    again.  U is reduced here when it is not given or U is not integral,
-    so any intermediate lattice U may be passed.
+    matrix.  `u.reduction` writes U = Zᵏ ⊕ R with the parts orthogonal
+    (an even R, which it leaves unreduced, is LLL-reduced here, on a copy
+    of the stages, before its classes are searched), so a class costs 1
+    per odd unit coordinate plus its coset minimum on R: 0 for the zero
+    class of R, at least 1 for any other.  The classes are visited in
+    increasing order of that lower bound, and the walk stops once the
+    bound reaches the least square found.  Any intermediate lattice U may
+    be passed: its Gram matrix is `u.gram` over `u.gram_denom`.
     """
     gram = lat.gram_rows()
     n = lat.rank
@@ -326,15 +267,10 @@ def constrained_min(lat, u, reduction=None):
         # diag(G) ⊥ ker(G mod 2), so L ⊂ U holds characteristic vectors
         raise InvariantViolation("no characteristic covector lies in U")
     c0, kernel = sol
-    # U's Gram matrix is H·G_L·Hᵀ/e² = (H·G_L·Hᵀ/g)/denom, in lowest terms
-    g = gcd(e * e, *(x for row in u.scaled_gram for x in row))
-    denom = e * e // g
-    if reduction is None or denom != 1:  # none given, or U is not integral
-        reduction = _reduce([[x // g for x in row] for row in u.scaled_gram])
-    stages, rest = reduction
-    if rest and _is_even(rest):  # `_reduce` leaves an even rest unreduced
+    stages, rest = u.reduction
+    if rest and exactmat.is_even(rest):  # an even rest is left unreduced
         t, rest = exactmat.lll_gram(rest)
-        stages = stages + [t]  # a handed-over reduction stays as it was
+        stages = stages + [t]  # u.reduction stays as it was
     factored = None  # R's LDLᵀ, made for the first class searched
     classes = _classes_mod2(stages, [c0] + kernel)
     cosets = classes[:1]  # c₀ + span(kernel), formed by XOR
@@ -351,4 +287,4 @@ def constrained_min(lat, u, reduction=None):
             val += coset_min(rest, [r >> j & 1 for j in range(len(rest))],
                              factored)[0]
         best = val if best is None else min(best, val)
-    return (Fraction(best, denom) - n) / 4
+    return (Fraction(best, u.gram_denom) - n) / 4

@@ -5,13 +5,16 @@ Factorizations are fraction-free: `ldl` and `lll_gram` carry leading minors
 and scaled Gram–Schmidt coefficients as integers, `det` is Bareiss
 elimination, `hnf` returns the canonical row basis H alone, `snf` returns
 the elementary divisors and the column transform V alone, and `solve_mod2`
-places a class mod 2, so no transform is inverted.  Nothing here builds a
-fractions.Fraction or a float; the Fraction inverse and LDLᵀ that the
+places a class mod 2, so no transform is inverted.  `split_reduce` splits
+the basis vectors of square 1 off a positive definite Gram matrix and
+LLL-reduces what is left, writing the lattice Zᵏ ⊕ R.  Nothing here builds
+a fractions.Fraction or a float; the Fraction inverse and LDLᵀ that the
 oracles use live in `oracle`.
 """
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import NotPositiveDefinite
 
@@ -335,6 +338,49 @@ def lll_gram(gram):
             red(k, l)
         k += 1
     return t, g
+
+
+def is_even(gram):
+    """True iff every square of the integer lattice is even, which holds
+    iff every square of a basis, on the diagonal, is."""
+    return not any(row[i] & 1 for i, row in enumerate(gram))
+
+
+def split_reduce(gram):
+    """Split off the basis vectors of square 1 of a positive definite
+    integer Gram matrix, again after every split, and LLL-reduce only a
+    rest with no 1 on its diagonal, until a reduced basis has none or the
+    rest is even.
+
+    Returns (stages, rest): the splits (units, rest, C) and the LLL
+    transforms T, in order, and the Gram matrix of what is left.  A split
+    can leave a projected basis vector of square 1, a unit vector of the
+    rest, so the diagonal is read again before anything is reduced.  An
+    even rest has no vector of square 1, so the loop stops there, neither
+    reduced nor factored.  Each stage is a unimodular change of basis, so
+    the lattice is Zᵏ ⊕ R with the two parts orthogonal, k the number of
+    units split off and R the lattice of `rest`.
+    """
+    stages = []
+    while True:
+        units = [i for i, row in enumerate(gram) if row[i] == 1]
+        if units:
+            # distinct basis vectors of square 1 are orthogonal (|v·w| ≤ 1,
+            # with equality only for v = ±w), so b_j of the rest projects to
+            # b_j − Σ c_ji·b_i over the units i, C = gram[rest][units], and
+            # the rest's Gram matrix is gram[rest][rest] − C·Cᵀ
+            rest = [j for j, row in enumerate(gram) if row[j] != 1]
+            c = [[gram[j][i] for i in units] for j in rest]
+            stages.append((units, rest, c))
+            gram = [[gram[j][k] - sum(map(mul, cj, ck))
+                     for k, ck in zip(rest, c)] for j, cj in zip(rest, c)]
+        elif (stages and type(stages[-1]) is not tuple) or is_even(gram):
+            # a reduced basis without units, or an even rest (also when
+            # nothing is left)
+            return stages, gram
+        else:
+            t, gram = lll_gram(gram)
+            stages.append(t)
 
 
 def solve_mod2(a, b):

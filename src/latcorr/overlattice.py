@@ -1,17 +1,21 @@
 """Intermediate lattices L ⊂ L' ⊂ L*, in particular U(M) = π⁻¹(M).
 
 An overlattice L' is stored as integers: the HNF rows of denom·L' ⊂ L in
-the coordinates of the base lattice, with denom the exponent of L'/L, so
-overlattice values compare by equality.
-Construction never fails: integrality is a queried property, which makes
-the failing direction of the metabolizer/unimodular-overlattice
-correspondence testable.  det L' = det L/[L' : L]² comes from the base
-lattice's det, so `corrterm.min_char_square` decides unimodularity without
-factoring the Gram matrix of L'.
+the coordinates of the base lattice, with denom the exponent of L'/L, and
+its Gram matrix in lowest terms, gram over gram_denom, so overlattice
+values compare by equality.
+Construction never fails: integrality (gram_denom = 1) is a queried
+property, which makes the failing direction of the metabolizer/unimodular-
+overlattice correspondence testable.  det L' = det L/[L' : L]² comes from
+the base lattice's det, so `corrterm.min_char_square` decides
+unimodularity without factoring the Gram matrix of L'.  `reduction`, the
+split of `gram` into Zᵏ ⊕ R, is made on first use and kept, so both
+minima of `corrterm` read one reduction of U(M).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 
 from . import exactmat
@@ -20,11 +24,18 @@ from .errors import InvariantViolation, NotIntegral
 
 @dataclass(frozen=True)
 class OverLattice:
-    rows: tuple         # n×n int HNF rows H; the basis of L' is H/denom
-    denom: int          # exponent of L'/L: the least e with e·L' ⊂ L
-    scaled_gram: tuple  # n×n ints H·G_L·Hᵀ = denom²·gram(L')
-    index: int          # [L' : L]
-    det: Fraction       # det gram(L') = det L/[L' : L]²
+    rows: tuple       # n×n int HNF rows H; the basis of L' is H/denom
+    denom: int        # exponent of L'/L: the least e with e·L' ⊂ L
+    gram: tuple       # n×n ints; gram(L') = gram/gram_denom in lowest terms
+    gram_denom: int   # denom²/gcd(denom², H·G_L·Hᵀ); 1 iff L' is integral
+    index: int        # [L' : L]
+    det: Fraction     # det gram(L') = det L/[L' : L]²
+
+    @cached_property
+    def reduction(self):
+        """`exactmat.split_reduce`'s (stages, rest) of `gram`, made once;
+        as a cached property it stays out of ==, hash and repr."""
+        return exactmat.split_reduce(self.gram)
 
 
 def _canonical(lat, rows, denom):
@@ -42,9 +53,12 @@ def _canonical(lat, rows, denom):
     g = gcd(denom, *(x for row in h for x in row))
     h = [[x // g for x in row] for row in h]
     denom //= g
-    gram = exactmat.gram_of_rows(h, lat.gram_rows())
+    gram = exactmat.gram_of_rows(h, lat.gram_rows())  # denom²·gram(L')
+    d2 = denom * denom
+    g = gcd(d2, *[gcd(*row) for row in gram])
+    gram = tuple([tuple([x // g for x in row]) for row in gram])
     return OverLattice(rows=tuple(map(tuple, h)), denom=denom,
-                       scaled_gram=tuple(map(tuple, gram)),
+                       gram=gram, gram_denom=d2 // g,
                        index=index, det=Fraction(lat.det, index * index))
 
 
@@ -61,23 +75,11 @@ def overlattice(grp, m):
 
 
 def is_integral(u):
-    d2 = u.denom * u.denom
-    return all(x % d2 == 0 for row in u.scaled_gram for x in row)
+    return u.gram_denom == 1
 
 
 def int_gram(u):
-    """The Gram matrix of an integral overlattice, as plain ints, in one
-    pass over H·G_L·Hᵀ that stops at the first entry denom² does not
-    divide."""
-    d2 = u.denom * u.denom
-    gram = []
-    for row in u.scaled_gram:
-        out = []
-        for x in row:
-            q, r = divmod(x, d2)
-            if r:
-                raise NotIntegral("overlattice form is not integral")
-            out.append(q)
-        gram.append(out)
-    return gram
-
+    """The Gram matrix of an integral overlattice, as plain ints."""
+    if u.gram_denom != 1:
+        raise NotIntegral("overlattice form is not integral")
+    return u.gram

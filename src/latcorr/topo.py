@@ -230,8 +230,7 @@ def chain_check(q, table):
         if grp.order % 2:
             cmin = d_over  # the L-characteristic covectors in U(M) are U's
         else:
-            cmin = corrterm.constrained_min(grp.lattice, entry.overlattice,
-                                            entry.result.reduction)
+            cmin = corrterm.constrained_min(grp.lattice, entry.overlattice)
             if d_over < cmin:  # Char(U) ⊂ Char(L) ∩ U
                 raise InvariantViolation(
                     f"d_U(M) = {d_over} < constrained min {cmin}")

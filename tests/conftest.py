@@ -10,14 +10,36 @@ from latcorr import exactmat
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
+def dynkin_gram(n, edges):
+    """Gram of the root lattice of a simply laced Dynkin diagram on nodes
+    0…n-1: 2 on the diagonal and -1 on each edge."""
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+def an_gram(n):
+    """A_n: the n-chain (determinant n + 1, group ℤ/(n + 1))."""
+    return dynkin_gram(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def dn_gram(n):
+    """D_n, n ≥ 4: an (n-1)-chain with node n-1 attached to node n-3
+    (determinant 4)."""
+    return dynkin_gram(n, [(i, i + 1) for i in range(n - 2)]
+                       + [(n - 3, n - 1)])
+
+
+def e7_gram():
+    """E7: a 6-chain with node 6 attached to node 3 (determinant 2, group
+    ℤ/2 of square 3/2)."""
+    return dynkin_gram(7, [(i, i + 1) for i in range(5)] + [(3, 6)])
+
+
 def a8_gram():
     """Tridiagonal 2/-1 Gram of the A8 root lattice (determinant 9)."""
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = 2
-    for i in range(7):
-        g[i][i + 1] = g[i + 1][i] = -1
-    return g
+    return an_gram(8)
 
 
 def e8_gram():
@@ -58,7 +80,7 @@ def d12_plus_gram():
 
 
 def d4_gram():
-    return [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    return dn_gram(4)
 
 
 def random_unimodular(rng, n, ops=6):
@@ -136,12 +158,29 @@ def index_k_sublattices(count=60, ranks=(6, 7, 8), seed=0):
     E8 at rank 8, and A = U·diag(1, …, 1, k)·W with 2 ≤ k ≤ 30 and U, W
     products of 4n elementary operations.  Without a modulus the Smith
     form ran past 1 s on 24 of the 60 at ranks 6–8."""
+    return _index_k_pairs(count, ranks, seed, lambda rng, n: (
+        e8_gram() if n == 8 and rng.random() < 0.5 else
+        exactmat.identity(n)))
+
+
+def index_k_sublattices_of_e8_sums(count=60, ranks=tuple(range(8, 14)),
+                                   seed=0):
+    """As `index_k_sublattices`, with B = Iₙ or E8 ⊕ Iₙ₋₈, each with
+    probability ½, at every rank."""
+    def base(rng, n):
+        if rng.random() < 0.5:
+            return exactmat.identity(n)
+        return [row + [0] * (n - 8) for row in e8_gram()] + \
+            exactmat.identity(n)[8:]
+    return _index_k_pairs(count, ranks, seed, base)
+
+
+def _index_k_pairs(count, ranks, seed, base):
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
         n = rng.choice(ranks)
-        b = e8_gram() if n == 8 and rng.random() < 0.5 else \
-            exactmat.identity(n)
+        b = base(rng, n)
         k = rng.randint(2, 30)
         a = exactmat.matmul(random_unimodular(rng, n, ops=4 * n),
                             exactmat.identity(n)[:-1] +

@@ -219,7 +219,7 @@ def constrained_min(lat, u):
     c0, kernel = sol
     twice = [[2 * (i == j) for j in range(n)] for i in range(n)]
     rows = exactmat.hnf(kernel + twice)[:n]  # basis of Λ in U's basis
-    a = exactmat.gram_of_rows(rows, u.scaled_gram)  # R·(H·G_L·Hᵀ)·Rᵀ
+    a = exactmat.gram_of_rows(exactmat.matmul(rows, h), gram)  # R·H·G_L·Hᵀ·Rᵀ
     # Λ's Gram matrix is a/e² = (a/g)/denom, in lowest terms
     g = gcd(e * e, *(x for row in a for x in row))
     denom = e * e // g

@@ -482,7 +482,7 @@ def test_constrained_min_factors_the_rest_once(monkeypatch):
 
 def test_constrained_min_reduces_an_even_rest_itself(rng, monkeypatch):
     # G = Z/4 for ⟨4⟩ ⊕ E8, and U(M) ≅ Z ⊕ E8 for M of order 2, whose rest
-    # E8 `_reduce` leaves even and unreduced: constrained_min reduces it
+    # E8 `u.reduction` leaves even and unreduced: constrained_min reduces it
     # and walks the classes in that reduced basis as before
     lats = [lattice_mod.make_lattice(g) for g in (
         _direct_sum([[4]], e8_gram()),
@@ -511,8 +511,9 @@ def test_constrained_min_reduces_an_even_rest_itself(rng, monkeypatch):
 
 def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
     # on a unimodular U(M) the class of U's own characteristic vectors,
-    # mapped through the stages of _reduce, is odd on every unit split off,
-    # and one unit each plus its coset minimum on the rest is min χ² over U
+    # mapped through the stages of split_reduce, is odd on every unit split
+    # off, and one unit each plus its coset minimum on the rest is min χ²
+    # over U
     grams = [basis_change(g, random_unimodular(rng, len(g), ops=8))
              for g in (one_plus_a8_gram(), z_plus_e8_gram(),
                        _diag(2, 2, 2, 2), _diag(1, 9, 4))]
@@ -525,7 +526,7 @@ def test_reduce_maps_the_characteristic_class_to_the_char_minimum(rng):
             u = build_overlattice(grp, m)
             a = int_gram(u)
             assert u.det == 1  # det L/[U:L]², carried from make_lattice
-            stages, rest = corrterm._reduce(a)
+            stages, rest = exactmat.split_reduce(a)
             x, _ = exactmat.solve_mod2(a, [a[i][i] for i in range(len(a))])
             [(odd, bits)] = corrterm._classes_mod2(stages, [x])
             units = sum(len(s[0]) for s in stages if type(s) is tuple)
@@ -582,8 +583,8 @@ def test_unimodular_conjugates_take_32_reductions(monkeypatch):
 
 def test_reduce_reduces_no_gram_with_a_unit_on_its_diagonal(rng,
                                                             monkeypatch):
-    # `_reduce` reads the diagonal again after every split: no Gram matrix
-    # it hands to lll_gram, and no rest it returns, has a 1 on its
+    # `split_reduce` reads the diagonal again after every split: no Gram
+    # matrix it hands to lll_gram, and no rest it returns, has a 1 on its
     # diagonal, on unimodular conjugates, D12⁺ ⊕ I_k, U(M) and forms of
     # any determinant
     real, reduced = exactmat.lll_gram, []
@@ -604,7 +605,7 @@ def test_reduce_reduces_no_gram_with_a_unit_on_its_diagonal(rng,
                   for m in discgroup.metabolizers_of_group(grp)]
     monkeypatch.setattr(exactmat, "lll_gram", spy)
     for gram in grams:
-        _, rest = corrterm._reduce(gram)
+        _, rest = exactmat.split_reduce(gram)
         assert all(row[i] != 1 for i, row in enumerate(rest))
     assert len(reduced) >= 40
     assert all(row[i] != 1 for g in reduced for i, row in enumerate(g))
@@ -630,20 +631,55 @@ def _even_order_lattices(rng):
     return lats
 
 
-def test_constrained_min_takes_the_reduction_of_d_set(rng):
-    # on every metabolizer of even-order lattices, the constrained minimum
-    # from the reduction d_set kept equals the one that reduces U(M)
-    # itself, and both equal the search of c₀ + Λ in tests/duality.py
+def test_constrained_min_reads_the_reduction_of_the_entry(rng,
+                                                         monkeypatch):
+    # d_set's min_char_square reduces each U(M) once, and the constrained
+    # minimum reads that reduction off the entry's overlattice without a
+    # second split_reduce; it equals the search of c₀ + Λ in
+    # tests/duality.py, and the entry's reduction is the same object after
+    real = exactmat.split_reduce
+
+    def refuse(gram):
+        raise AssertionError("U(M) is reduced once, by min_char_square")
+
     entries = reduced = 0
     for lat in _even_order_lattices(rng):
-        for e in corrterm.d_set(discgroup.disc_group(lat)).entries:
-            u, reduction = e.overlattice, e.result.reduction
-            handed = corrterm.constrained_min(lat, u, reduction)
-            assert handed == corrterm.constrained_min(lat, u)
-            assert handed == lambda_search_min(lat, u)
+        monkeypatch.setattr(exactmat, "split_reduce", real)
+        dset = corrterm.d_set(discgroup.disc_group(lat))
+        monkeypatch.setattr(exactmat, "split_reduce", refuse)
+        for e in dset.entries:
+            u = e.overlattice
+            reduction = u.reduction
+            assert corrterm.constrained_min(lat, u) == \
+                lambda_search_min(lat, u)
+            assert u.reduction is reduction
             entries += 1
             reduced += any(type(s) is not tuple for s in reduction[0])
     assert entries >= 40 and reduced >= 4
+
+
+def test_constrained_min_leaves_the_reduction_of_u_as_it_was():
+    # the rest E8 of U(M) ≅ Z ⊕ E8 for ⟨4⟩ ⊕ E8 is even, so constrained_min
+    # appends an LLL stage to a copy of u.reduction's stages: the reduction
+    # and the characteristic minimum read off it are the same whichever of
+    # the two runs first
+    lat = lattice_mod.make_lattice(_direct_sum([[4]], e8_gram()))
+    grp = discgroup.disc_group(lat)
+    [m] = [m for m in oracle.brute_subgroups(grp) if m.order == 2]
+    expected = corrterm.min_char_square(build_overlattice(grp, m))
+    assert expected.d == -2
+    cmin = lambda_search_min(lat, build_overlattice(grp, m))
+    for cmin_first in (False, True):
+        u = build_overlattice(grp, m)
+        fresh = exactmat.split_reduce(u.gram)
+        assert exactmat.is_even(fresh[1]) and len(fresh[0]) == 1
+        if cmin_first:
+            assert corrterm.constrained_min(lat, u) == cmin
+        assert corrterm.min_char_square(u) == expected
+        assert corrterm.constrained_min(lat, u) == cmin
+        assert u.reduction == fresh
+        res = corrterm.min_char_square(u)
+        assert (res, res.witness) == (expected, expected.witness)
 
 
 def test_constrained_min_on_the_metabolizers_of_2i6(monkeypatch):
@@ -884,8 +920,8 @@ def test_constrained_min_matches_scan_of_overlattice_vectors(rng):
             u = build_overlattice(grp, m)
             fast = corrterm.constrained_min(lat, u)
             bound = 4 * fast + n
-            ginv = oracle.inverse([[Fraction(x, u.denom ** 2) for x in r]
-                                     for r in u.scaled_gram])
+            ginv = oracle.inverse([[Fraction(x, u.gram_denom) for x in r]
+                                     for r in u.gram])
             box = [range(-r, r + 1) for r in
                    (isqrt(floor(bound * ginv[i][i])) + 1 for i in range(n))]
             best = None

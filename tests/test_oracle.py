@@ -11,8 +11,9 @@ from latcorr import corrterm, discgroup, exactmat, lattice as lattice_mod, oracl
 from latcorr.errors import (InvariantViolation, NotPositiveDefinite,
                             SearchTooLarge, SingularMatrix)
 
-from conftest import (a8_gram, basis_change, cpu_alarm, e8_gram,
-                      index_k_sublattices, random_posdef_gram,
+from conftest import (a8_gram, an_gram, basis_change, cpu_alarm, dn_gram,
+                      e7_gram, e8_gram, index_k_sublattices,
+                      index_k_sublattices_of_e8_sums, random_posdef_gram,
                       random_unimodular)
 from fuzzing import run_json
 
@@ -143,6 +144,67 @@ def test_every_d_at_rank_at_most_7_is_zero(tmp_path):
     assert len(cases) >= 30 and 15 <= embeds < len(cases)
 
 
+def _glued_d_sets(gram, count, rng):
+    """The d-sets of `count` seeded conjugates of gram, each by 2n
+    elementary operations."""
+    n = len(gram)
+    return [corrterm.d_set(discgroup.disc_group(lattice_mod.make_lattice(
+        basis_change(gram, random_unimodular(rng, n, ops=2 * n)))))
+        for _ in range(count)]
+
+
+def test_root_lattices_glue_the_odd_unimodular_lattices_of_rank_12_to_15():
+    # D12⁺, E7²⁺ and A15⁺ are the odd unimodular lattices of rank ≤ 15
+    # without a vector of square 1 (SPLAG Table 16.7), each with d = −2:
+    # A15 and E7 ⊕ E7 have one metabolizer each, which glues them, and D12
+    # has three, two gluing D12⁺ and one Z¹².  Nothing of a glued lattice
+    # splits off, so its whole odd rank-n basis goes to branch and bound.
+    rng = random.Random(15)
+    e7 = e7_gram()
+    e7_e7 = [row + [0] * 7 for row in e7] + [[0] * 7 + row for row in e7]
+    with cpu_alarm(5):
+        a15 = _glued_d_sets(an_gram(15), 4, rng)
+        e7_sq = _glued_d_sets(e7_e7, 4, rng)
+        d12 = _glued_d_sets(dn_gram(12), 4, rng)
+    glued = []
+    for sets, n, order in ((a15, 15, 4), (e7_sq, 14, 2)):
+        for ds in sets:
+            [e] = ds.entries
+            assert e.metabolizer.order == e.overlattice.index == order
+            glued.append((e, n))
+    for ds in d12:
+        ds = sorted(ds.entries, key=lambda e: e.result.d)
+        assert [e.result.d for e in ds] == [-2, -2, 0]
+        assert ds[2].overlattice.reduction[1] == []  # Z¹² splits fully
+        glued += [(e, 12) for e in ds[:2]]
+    for e, n in glued:
+        stages, rest = e.overlattice.reduction
+        assert e.result.d == -2 and e.overlattice.det == 1
+        assert len(rest) == n and not exactmat.is_even(rest)
+        assert all(type(s) is not tuple for s in stages)
+        assert e.result.nodes_visited > 0
+    # the four A15⁺ searches visited 1,514–4,775 nodes when written
+    assert all(1_000 < ds.entries[0].result.nodes_visited < 10_000
+               for ds in a15)
+
+
+def test_every_d_at_rank_8_to_13_is_0_or_minus_2():
+    # a positive definite unimodular lattice of rank 8–13 is Zⁿ, E8 ⊕ Zⁿ⁻⁸
+    # or D12⁺ ⊕ Zⁿ⁻¹², so every d_{U(M)} is 0 or −2, and the split loop
+    # leaves an empty rest exactly on Zⁿ: on index-k sublattices of Iₙ and
+    # E8 ⊕ Iₙ₋₈, every d is 0 or −2, and 0 exactly when the rest is empty
+    ds = Counter()
+    with cpu_alarm(10):
+        for gram, _ in index_k_sublattices_of_e8_sums():
+            grp = discgroup.disc_group(lattice_mod.make_lattice(gram))
+            for e in corrterm.d_set(grp).entries:
+                rest = e.overlattice.reduction[1]
+                assert e.result.d in (0, -2)
+                assert (e.result.d == 0) == (rest == [])
+                ds[e.result.d] += 1
+    assert ds[0] >= 20 and ds[-2] >= 20
+
+
 def _rank_4_census(max_product=100):
     """Every positive definite rank-4 Gram matrix with a₁₁ ≤ a₂₂ ≤ a₃₃ ≤
     a₄₄, 2|a_ij| ≤ a_ii for i < j, ∏ a_ii ≤ max_product and a square det
@@ -171,9 +233,9 @@ def _rank_4_census(max_product=100):
 
 
 def test_embed_check_agrees_with_brute_embed_on_the_rank_4_census(tmp_path):
-    # every U(M) of the census goes through `_reduce`: at rank 4 it is Z⁴,
-    # so embed-check says "embeds" exactly when a metabolizer exists, and
-    # brute_embed, under its caps here, must agree on every form
+    # every U(M) of the census goes through `split_reduce`: at rank 4 it is
+    # Z⁴, so embed-check says "embeds" exactly when a metabolizer exists,
+    # and brute_embed, under its caps here, must agree on every form
     path = tmp_path / "lattice.json"
     forms = embeds = 0
     with cpu_alarm(30):

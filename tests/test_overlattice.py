@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_trivial_overlattice_is_the_lattice():
     u = build_overlattice(g, _trivial_subgroup(g))
     assert u.index == 1
     assert (u.rows, u.denom) == (((1,),), 1)
-    assert u.scaled_gram == ((9,),)
+    assert (u.gram, u.gram_denom) == (((9,),), 1)
 
 
 def test_nine_metabolizer_overlattice_is_standard():
@@ -32,7 +33,7 @@ def test_nine_metabolizer_overlattice_is_standard():
     assert u.index == 3
     assert is_integral(u)
     assert is_unimodular(u)
-    assert int_gram(u) == [[1]]
+    assert int_gram(u) == ((1,),)
 
 
 def test_thirtysix_order_two_subgroup():
@@ -42,7 +43,7 @@ def test_thirtysix_order_two_subgroup():
     m = discgroup.make_subgroup(g, discgroup.closure(g, {g.identity}, (18,)))
     u = build_overlattice(g, m)
     assert u.index == 2
-    assert int_gram(u) == [[9]]
+    assert int_gram(u) == ((9,),)
     assert index_check(lat, u) == (2, 2)
 
 
@@ -158,7 +159,8 @@ def test_canonical_form_ignores_a_common_factor(seeded_overlattices):
     # plain int
     for lat, _, _, u in seeded_overlattices:
         assert type(u.denom) is type(u.index) is int
-        assert all(type(x) is int for m in (u.rows, u.scaled_gram)
+        assert type(u.gram_denom) is int
+        assert all(type(x) is int for m in (u.rows, u.gram)
                    for row in m for x in row)
         for k in (2, 6):
             scaled = [[k * x for x in row] for row in u.rows]
@@ -169,11 +171,45 @@ def test_canonical_form_ignores_a_common_factor(seeded_overlattices):
 
 def test_overlattice_det_is_det_l_over_the_index_squared(seeded_overlattices):
     # det U = det L/[U : L]², from the det make_lattice read off its LDLᵀ;
-    # the Bareiss det of U's Gram matrix H·G_L·Hᵀ/e² is the reference
+    # the Bareiss det of U's Gram matrix gram/gram_denom is the reference
     for lat, _, _, u in seeded_overlattices:
         assert u.det * u.index ** 2 == lat.det
-        assert u.det == Fraction(exactmat.det([list(r) for r in u.scaled_gram]),
-                                 u.denom ** (2 * lat.rank))
+        assert u.det == Fraction(exactmat.det([list(r) for r in u.gram]),
+                                 u.gram_denom ** lat.rank)
+
+
+def test_gram_is_in_lowest_terms_over_gram_denom(seeded_overlattices):
+    # gram/gram_denom is U's Gram matrix H·G_L·Hᵀ/e² in lowest terms: the
+    # two share no factor, and gram_denom is 1 exactly when e² divides
+    # every entry of H·G_L·Hᵀ (det(gram) = det U·gram_denomⁿ is checked
+    # with det U above)
+    integral = 0
+    for lat, _, _, u in seeded_overlattices:
+        h = [list(r) for r in u.rows]
+        scaled = textbook_matmul(textbook_matmul(h, lat.gram_rows()),
+                                 exactmat.transpose(h))
+        e2 = u.denom ** 2
+        assert [[Fraction(x, u.gram_denom) for x in r] for r in u.gram] == \
+            [[Fraction(x, e2) for x in r] for r in scaled]
+        assert gcd(u.gram_denom, *(x for r in u.gram for x in r)) == 1
+        assert is_integral(u) == (u.gram_denom == 1) == \
+            all(x % e2 == 0 for r in scaled for x in r)
+        integral += is_integral(u)
+    assert 40 <= integral < len(seeded_overlattices)
+
+
+def test_reading_the_reduction_leaves_the_value_unchanged(
+        seeded_overlattices):
+    # `reduction` is made on first read and kept, and it stays out of ==,
+    # hash and repr: a U that was reduced equals its unreduced twin
+    for _, g, s, _ in seeded_overlattices[:60]:
+        u, twin = build_overlattice(g, s), build_overlattice(g, s)
+        before = hash(u), repr(u)
+        reduction = u.reduction
+        assert u.reduction is reduction
+        assert reduction == exactmat.split_reduce(u.gram)
+        assert (hash(u), repr(u)) == before == (hash(twin), repr(twin))
+        assert u == twin and "reduction" not in vars(twin)
 
 
 def test_dual_of_overlattice_is_overlattice_of_annihilator(

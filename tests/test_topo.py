@@ -180,7 +180,7 @@ def test_chain_check_raises_when_a_theorem_fails(monkeypatch):
     rep = topo.chain_check([[4]], table)
     assert [r.d_over >= r.constrained for r in rep.evidence] == [True]
     monkeypatch.setattr(corrterm, "constrained_min",
-                        lambda lat, u, reduction=None: Fraction(1))
+                        lambda lat, u: Fraction(1))
     with pytest.raises(InvariantViolation, match="< constrained min 1"):
         topo.chain_check([[4]], table)
 
