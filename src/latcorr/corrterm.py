@@ -6,11 +6,13 @@ fraction-free LDLᵀ factorization, with the form scaled so that every
 centre, term and bound is an integer.  The incumbent bound starts from a
 greedy coordinate rounding, so pruning decisions never need re-checking.
 `exactmat.split_reduce` writes a lattice Zᵏ ⊕ R with the parts orthogonal,
-so the search only sees R; an overlattice keeps that reduction of its
-Gram matrix as `OverLattice.reduction`.  `min_char_square` decides
-unimodularity first, on the det G that `make_lattice` read off its LDLᵀ
-(or det L/[U:L]² for an overlattice), reduces, and maps the search's one
-witness back through the recorded stages.  On an even R, 0 is
+so the search only sees R; a `Lattice` and an `OverLattice` each keep
+that reduction of their Gram matrix as `reduction`.  `min_char_square`
+reads the same fields of both: it decides unimodularity first, on the
+det G that `make_lattice` read off its LDLᵀ (or det L/[U:L]² for an
+overlattice) and on `gram_denom`, reads the kept reduction, and maps the
+search's one witness back through the recorded stages and the basis rows
+over `denom` (None over 1 for a lattice).  On an even R, 0 is
 characteristic and the least square, so nothing is searched or factored
 (Elkies' step stops there).  `constrained_min` reads the same reduction of
 U(M), whose constraint set is 2^r classes of U/2U, and reduces an even R;
@@ -27,9 +29,8 @@ from math import lcm
 from operator import mul
 
 from . import discgroup, exactmat
-from .overlattice import OverLattice, overlattice as build_overlattice
+from .overlattice import overlattice as build_overlattice
 from .errors import InputError, InvariantViolation, NotInDualLattice
-from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -130,27 +131,6 @@ def coset_min(a, x, factored=None):
     return best_val // scale, best_v, nodes
 
 
-def _unimodular_reduction(obj):
-    """(`exactmat.split_reduce`'s (stages, rest), int basis rows H,
-    denominator e) of a positive definite unimodular lattice or
-    overlattice; its basis in L-coords is H/e, and H is None for a lattice,
-    whose basis is its own.  Unimodularity is read off the det that
-    `make_lattice` and `overlattice` carry, so nothing is factored or
-    reduced to decide it; an overlattice must be integral too.
-    """
-    if isinstance(obj, Lattice):
-        if obj.det == 1:
-            return exactmat.split_reduce(obj.gram_rows()), None, 1
-        kind = "lattice"
-    elif isinstance(obj, OverLattice):
-        if obj.det == 1 and obj.gram_denom == 1:
-            return obj.reduction, obj.rows, obj.denom
-        kind = "overlattice"
-    else:
-        raise InputError(f"unsupported lattice object {type(obj).__name__}")
-    raise InputError(f"correction term requires a unimodular {kind}")
-
-
 def min_char_square(obj):
     """Exact min of χ² over the characteristic vectors of a unimodular
     positive definite lattice, with a witness in base-lattice coordinates.
@@ -158,39 +138,43 @@ def min_char_square(obj):
     Every basis vector v of square 1 is split off: U = Zv ⊕ v^⊥, and the
     characteristic minimum of Zv is 1, attained at v.
     `exactmat.split_reduce` splits and LLL-reduces until a reduced basis
-    has no vector of square 1 or the rest is even; an overlattice's
-    reduction is the one it keeps.  An even rest has χ = 0 as a
+    has no vector of square 1 or the rest is even, once per lattice or
+    overlattice, which keeps it as `reduction`.  An even rest has χ = 0 as a
     characteristic vector of least square, so it adds 0 to the minimum and
     0 to the witness without a search; any other rest goes to the branch
     and bound.  Unimodularity is decided first, on the det the lattice or
     overlattice carries; when everything splits, U is Zⁿ.  The rest's
-    witness is mapped back through the splits and reductions.
+    witness is mapped back through the splits and reductions, and then
+    through the basis rows H/e of an overlattice (a lattice has none).
     """
-    (stages, gram), basis, denom = _unimodular_reduction(obj)
-    minimum = sum(len(s[0]) for s in stages if type(s) is tuple)
-    v, nodes = [0] * len(gram), 0  # 0 is characteristic on an even rest
-    if not exactmat.is_even(gram):
-        # characteristic vectors of the rest are x0 + 2u with gram·x0 ≡
-        # diag(gram) mod 2; gram is invertible mod 2, so x0 is unique
-        x0, _ = exactmat.solve_mod2(gram, [row[i] for i, row in
-                                           enumerate(gram)])
-        val, v, nodes = coset_min(gram, x0)
+    if obj.det != 1 or obj.gram_denom != 1:
+        kind = "lattice" if obj.rows is None else "overlattice"
+        raise InputError(f"correction term requires a unimodular {kind}")
+    stages, rest = obj.reduction
+    minimum = len(obj.gram) - len(rest)  # a split drops one row per unit
+    v, nodes = [0] * len(rest), 0  # 0 is characteristic on an even rest
+    if not exactmat.is_even(rest):
+        # characteristic vectors of the rest are x0 + 2u with rest·x0 ≡
+        # diag(rest) mod 2; rest is invertible mod 2, so x0 is unique
+        x0, _ = exactmat.solve_mod2(rest, [row[i] for i, row in
+                                           enumerate(rest)])
+        val, v, nodes = coset_min(rest, x0)
         minimum += val
     for stage in reversed(stages):
         if type(stage) is tuple:  # v on the rest, 1 − Σ_j v_j·c_ji on unit i
-            units, rest, c = stage
-            w = dict(zip(rest, v))
+            units, kept, c = stage
+            w = dict(zip(kept, v))
             for k, i in enumerate(units):
                 w[i] = 1 - sum(vj * cj[k] for vj, cj in zip(v, c))
             v = [w[i] for i in range(len(w))]
         else:  # the rows of T are the reduced basis
             v = [sum(map(mul, v, col)) for col in zip(*stage)]
-    if basis is not None:  # an overlattice's basis is H/e
-        v = [sum(map(mul, v, col)) for col in zip(*basis)]
+    if obj.rows is not None:  # an overlattice's basis is H/e
+        v = [sum(map(mul, v, col)) for col in zip(*obj.rows)]
     if minimum > len(v):  # Elkies: min χ² ≤ n, so d ≤ 0
         raise InvariantViolation(f"min char square {minimum} > rank {len(v)}")
     return MinimizationResult(
-        minimum=minimum, witness=tuple(Fraction(x, denom) for x in v),
+        minimum=minimum, witness=tuple(Fraction(x, obj.denom) for x in v),
         nodes_visited=nodes)
 
 
@@ -254,7 +238,7 @@ def constrained_min(lat, u):
     bound reaches the least square found.  Any intermediate lattice U may
     be passed: its Gram matrix is `u.gram` over `u.gram_denom`.
     """
-    gram = lat.gram_rows()
+    gram = lat.gram
     n = lat.rank
     h, e = u.rows, u.denom  # B = h/e
     p = exactmat.matmul(h, gram)  # e·B·G_L

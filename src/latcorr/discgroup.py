@@ -111,7 +111,7 @@ def disc_group(lat):
     The Smith form is taken modulo M = det G, which `make_lattice` read off
     its LDLᵀ and which every d_i divides, so its entries stay bounded.
     """
-    gram = lat.gram_rows()
+    gram = lat.gram
     dec = exactmat.snf(gram, modulus=lat.det)
     divisors = dec.divisors
     keep = [i for i, d in enumerate(divisors) if d > 1]

@@ -5,11 +5,15 @@ definite input is negated on construction and the flip recorded, so all
 downstream computation runs on positive definite forms.  The one LDLᵀ that
 decides definiteness also gives det G, its last leading minor, which the
 lattice keeps: unimodularity and the Smith form's modulus are read off it,
-and no later stage factors the Gram matrix again to find it.
+and no later stage factors the Gram matrix again to find it.  Like an
+`OverLattice`, a lattice keeps its `reduction`, the split of its Gram
+matrix into Zᵏ ⊕ R, made on first use, and reads as basis rows None over
+denominator 1, so `corrterm.min_char_square` takes either kind alike.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import exactmat
 from .errors import (IndefiniteForm, InputError, NotPositiveDefinite,
@@ -23,15 +27,28 @@ class Lattice:
     gram is the (possibly negated) positive definite Gram matrix; negated
     records whether the input form was negative definite; det is the
     determinant of gram, so positive, and |det| of the input form.
+    A lattice is its own basis over denominator 1, so it answers what the
+    Elkies step reads of an `OverLattice` with the class values below,
+    which are not fields.
     """
 
     gram: tuple
     det: int
     negated: bool = False
 
+    gram_denom = 1  # gram is the Gram matrix itself
+    rows = None     # the basis is the lattice's own
+    denom = 1
+
     @property
     def rank(self):
         return len(self.gram)
+
+    @cached_property
+    def reduction(self):
+        """`exactmat.split_reduce`'s (stages, rest) of `gram`, made once;
+        as a cached property it stays out of ==, hash and repr."""
+        return exactmat.split_reduce(self.gram)
 
     def gram_rows(self):
         return [list(row) for row in self.gram]

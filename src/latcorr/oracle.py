@@ -5,7 +5,9 @@ with hard caps, single-threaded, and no incumbent-based pruning.  Exceeding
 a cap raises SearchTooLarge rather than silently truncating the search.
 The Fraction references live here too: `inverse`, `rational_cholesky` and
 the pairing `lam`, which the integer paths are tested against and which
-run only under `--oracle`.
+run only under `--oracle`.  `brute_char_min` takes a lattice or an
+integral overlattice alike: `overlattice.int_gram` reads only the
+`gram_denom` and `gram` that both carry.
 """
 
 from fractions import Fraction
@@ -16,7 +18,6 @@ from . import discgroup, exactmat
 from .overlattice import int_gram
 from .errors import (InvariantViolation, NotPositiveDefinite, SearchTooLarge,
                      SingularMatrix)
-from .lattice import Lattice
 
 EMBED_DIAG_CAP = 36
 EMBED_RANK_CAP = 8
@@ -159,18 +160,11 @@ def _enumerate_coset(a, t, radius):
     yield from walk(n - 1, Fraction(0))
 
 
-def gram_of(obj):
-    """The int Gram matrix of a lattice or of an integral overlattice."""
-    if isinstance(obj, Lattice):
-        return obj.gram_rows()
-    return int_gram(obj)
-
-
 def brute_char_min(obj, bound):
     """Exact min of χ² over characteristic vectors, by full enumeration of
     the coset points with square ≤ bound (the caller supplies an achieved
     bound, e.g. the square of any characteristic vector)."""
-    gram = gram_of(obj)
+    gram = int_gram(obj)
     n = len(gram)
     a = inverse(gram)
     w0 = [gram[i][i] % 2 for i in range(n)]

@@ -53,7 +53,7 @@ def _canonical(lat, rows, denom):
     g = gcd(denom, *(x for row in h for x in row))
     h = [[x // g for x in row] for row in h]
     denom //= g
-    gram = exactmat.gram_of_rows(h, lat.gram_rows())  # denom²·gram(L')
+    gram = exactmat.gram_of_rows(h, lat.gram)  # denom²·gram(L')
     d2 = denom * denom
     g = gcd(d2, *[gcd(*row) for row in gram])
     gram = tuple([tuple([x // g for x in row]) for row in gram])
@@ -79,7 +79,7 @@ def is_integral(u):
 
 
 def int_gram(u):
-    """The Gram matrix of an integral overlattice, as plain ints."""
+    """The Gram matrix of a lattice or an integral overlattice, as ints."""
     if u.gram_denom != 1:
         raise NotIntegral("overlattice form is not integral")
     return u.gram

@@ -8,6 +8,8 @@ the lattice.  `snf` is the reference Smith form that also tracks the row
 transform U, which the library's `exactmat.snf` drops.  `constrained_min`
 is the reference constrained minimum that searches the one coset c₀ + Λ in
 a basis of Λ = U ∩ 2L*, where the library's searches the classes of U/2U.
+`split_units` maps the unit vectors that a kept reduction splits off back
+to the base lattice, the rows of an embedding certificate.
 """
 
 from dataclasses import dataclass
@@ -239,3 +241,37 @@ def constrained_min(lat, u):
     # square is min vᵀav/(4·denom)
     val, _, _ = corrterm.coset_min(a, z)
     return (Fraction(val, 4 * denom) - n) / 4
+
+
+def split_units(obj):
+    """The unit vectors that `obj.reduction` splits off, in the order split,
+    as Fraction rows in the coordinates of the base lattice; obj is a
+    lattice or an overlattice.
+
+    A unit found at stage s is a coordinate vector of that stage's basis,
+    mapped back through the stages before it.  Through a split (units,
+    rest, C), whose rest basis is b_j − Σ_i c_ji·b_i, v keeps its rest
+    coordinates and takes −Σ_j v_j·c_ji on each unit i split there.
+    Through an LLL stage T, whose rows are the reduced basis, v becomes
+    v·T.  Last, an overlattice's basis is H/e."""
+    stages, _ = obj.reduction
+    found = []
+    for s, stage in enumerate(stages):
+        if type(stage) is not tuple:
+            continue
+        units, rest, _ = stage
+        for i in units:
+            v = [int(j == i) for j in range(len(units) + len(rest))]
+            for earlier in reversed(stages[:s]):
+                if type(earlier) is tuple:
+                    e_units, e_rest, c = earlier
+                    w = dict(zip(e_rest, v))
+                    for k, u in enumerate(e_units):
+                        w[u] = -sum(vj * cj[k] for vj, cj in zip(v, c))
+                    v = [w[j] for j in range(len(w))]
+                else:
+                    v = mat_vec(exactmat.transpose(earlier), v)
+            if obj.rows is not None:
+                v = mat_vec(exactmat.transpose(obj.rows), v)
+            found.append([Fraction(x, obj.denom) for x in v])
+    return found

@@ -134,6 +134,32 @@ def test_dinv_factors_the_lattice_once(capsys, tmp_path, monkeypatch):
     assert callers == ["make_lattice"]
 
 
+def test_dinv_reduces_the_lattice_once(capsys, tmp_path, monkeypatch):
+    # a dinv query reads Lattice.reduction, made by one split_reduce of the
+    # lattice's own Gram matrix, also under --oracle
+    rng = random.Random(12)
+    e8_i1 = [row + [0] for row in e8_gram()] + [[0] * 8 + [1]]
+    grams = [e8_gram(), basis_change(e8_i1, random_unimodular(rng, 9, ops=18)),
+             basis_change(exactmat.identity(12),
+                          random_unimodular(rng, 12, ops=24))]
+    real, reduced = exactmat.split_reduce, []
+
+    def spy(gram):
+        reduced.append(sys._getframe(1).f_code.co_name)
+        return real(gram)
+
+    monkeypatch.setattr(exactmat, "split_reduce", spy)
+    p = tmp_path / "lattice.json"
+    for gram, minimum in zip(grams, (0, 1, 12)):
+        p.write_text(json.dumps({"gram": gram}))
+        for extra in ((), ("--oracle",)):
+            reduced.clear()
+            code, payload = run_json(capsys, "lattice", "dinv", str(p),
+                                     *extra)
+            assert (code, payload["min_char_square"]) == (0, minimum)
+            assert reduced == ["reduction"]
+
+
 @pytest.mark.parametrize("gram, orders", [(DET_36_GRAM, [36]),
                                           (DET_225_GRAM, [15, 15])],
                          ids=["det-36", "det-225"])

@@ -15,6 +15,7 @@ from conftest import (a8_gram, an_gram, basis_change, cpu_alarm, dn_gram,
                       e7_gram, e8_gram, index_k_sublattices,
                       index_k_sublattices_of_e8_sums, random_posdef_gram,
                       random_unimodular)
+from duality import split_units
 from fuzzing import run_json
 
 
@@ -203,6 +204,40 @@ def test_every_d_at_rank_8_to_13_is_0_or_minus_2():
                 assert (e.result.d == 0) == (rest == [])
                 ds[e.result.d] += 1
     assert ds[0] >= 20 and ds[-2] >= 20
+
+
+def test_the_units_split_off_a_d_0_entry_certify_its_embedding():
+    # ROADMAP item 8's certificate: when d_{U(M)} = 0, the reduction that
+    # U(M) keeps splits it fully, so its n unit vectors F′ (rows in the
+    # coordinates of L) are an orthonormal basis of U(M) ⊃ L, and
+    # A = G_L·F′ᵀ, the images of L's basis in Zⁿ, is integral with
+    # A·Aᵀ = G_L, on every d = 0 entry of both index-k families
+    entries = 0
+    with cpu_alarm(10):
+        for gram, _ in (index_k_sublattices()
+                        + index_k_sublattices_of_e8_sums()):
+            lat = lattice_mod.make_lattice(gram)
+            for e in corrterm.d_set(discgroup.disc_group(lat)).entries:
+                if e.result.d:
+                    continue
+                assert not e.overlattice.reduction[1]
+                f = split_units(e.overlattice)
+                a = exactmat.matmul(lat.gram, exactmat.transpose(f))
+                assert all(x.denominator == 1 for row in a for x in row)
+                assert exactmat.matmul(a, exactmat.transpose(a)) == gram
+                entries += 1
+    assert entries == 104
+
+
+def test_the_units_split_off_a_conjugate_of_in_are_an_orthonormal_basis():
+    # read through Lattice.reduction, F·G·Fᵀ = I, and F is unimodular
+    rng = random.Random(4)
+    for n in range(4, 13):
+        lat = lattice_mod.make_lattice(basis_change(
+            exactmat.identity(n), random_unimodular(rng, n, ops=4 * n)))
+        f = split_units(lat)
+        assert exactmat.gram_of_rows(f, lat.gram) == exactmat.identity(n)
+        assert abs(exactmat.det(f)) == 1
 
 
 def _rank_4_census(max_product=100):

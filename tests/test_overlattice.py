@@ -1,15 +1,18 @@
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from latcorr import discgroup, exactmat, lattice as lattice_mod, oracle
+from latcorr import (corrterm, discgroup, exactmat, lattice as lattice_mod,
+                     oracle)
 from latcorr.overlattice import (_canonical, int_gram, is_integral,
                                  overlattice as build_overlattice)
 from latcorr.errors import NotIntegral
 
-from conftest import a8_gram, d4_gram, random_posdef_gram, textbook_matmul
+from conftest import (a8_gram, basis_change, d4_gram, e8_gram,
+                      random_posdef_gram, random_unimodular, textbook_matmul)
 from duality import (annihilator, discriminant, dual_of, index_check,
                       is_unimodular)
 
@@ -24,6 +27,72 @@ def test_trivial_overlattice_is_the_lattice():
     assert u.index == 1
     assert (u.rows, u.denom) == (((1,),), 1)
     assert (u.gram, u.gram_denom) == (((9,),), 1)
+
+
+def _unimodular_lattices():
+    """Five seeded conjugates each of I8, I12, E8, E8 ⊕ E8 and E8 ⊕ I3."""
+    e8 = e8_gram()
+    grams = (exactmat.identity(8), exactmat.identity(12), e8,
+             [row + [0] * 8 for row in e8] + [[0] * 8 + row for row in e8],
+             [row + [0] * 3 for row in e8] + exactmat.identity(11)[8:])
+    rng = random.Random(8)
+    return [lattice_mod.make_lattice(basis_change(
+                g, random_unimodular(rng, len(g), ops=2 * len(g))))
+            for g in grams for _ in range(5)]
+
+
+def test_trivial_overlattice_of_a_unimodular_lattice_is_the_lattice():
+    # U = L over basis rows I and denominator 1 has L's Gram matrix, so
+    # min_char_square reads the same fields of both and maps the same
+    # witness back; the brute oracle agrees at rank ≤ 9 (I8 and E8)
+    lattices = _unimodular_lattices()
+    for lat in lattices:
+        g = discgroup.disc_group(lat)
+        u = build_overlattice(g, _trivial_subgroup(g))
+        assert u.gram == lat.gram
+        assert (u.rows, u.denom, u.gram_denom) == (
+            tuple(map(tuple, exactmat.identity(lat.rank))), 1, 1)
+        res, res_u = corrterm.min_char_square(lat), corrterm.min_char_square(u)
+        assert (res.minimum, res.witness) == (res_u.minimum, res_u.witness)
+        if lat.rank <= 9:
+            assert oracle.brute_char_min(lat, res.minimum) == res.minimum
+    assert len(lattices) == 25
+
+
+def test_a_lattice_keeps_its_reduction_out_of_its_value():
+    # as on an OverLattice, `reduction` is made on first read and kept,
+    # outside ==, hash and repr; gram_denom, rows and denom are class
+    # values, not fields, and a frozen lattice cannot set them
+    for lat in _unimodular_lattices():
+        twin = lattice_mod.make_lattice(lat.gram)
+        before = hash(lat), repr(lat)
+        reduction = lat.reduction
+        assert lat.reduction is reduction
+        assert reduction == exactmat.split_reduce(lat.gram)
+        assert (hash(lat), repr(lat)) == before == (hash(twin), repr(twin))
+        assert lat == twin and "reduction" not in vars(twin)
+        assert "reduction" not in repr(lat)
+        assert (lat.gram_denom, lat.rows, lat.denom) == (1, None, 1)
+    assert [f.name for f in fields(lat)] == ["gram", "det", "negated"]
+    for name in ("gram_denom", "rows", "denom", "reduction"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(lat, name, 2)
+
+
+def test_min_char_square_reduces_a_lattice_once(monkeypatch):
+    # the second call reads the reduction that the first one made
+    real, reduced = exactmat.split_reduce, []
+
+    def spy(gram):
+        reduced.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(exactmat, "split_reduce", spy)
+    for lat in _unimodular_lattices():
+        reduced.clear()
+        first = corrterm.min_char_square(lat)
+        assert corrterm.min_char_square(lat) == first
+        assert reduced == [lat.gram]
 
 
 def test_nine_metabolizer_overlattice_is_standard():
